@@ -119,6 +119,7 @@ double missrate_rise(Context& ctx, const workload::WorkloadMix& base_mix) {
   }
   core::StudyConfig config = ctx.in().study_config();
   config.samples_per_session = ctx.in().scaled(10, 5);
+  config.threads = ctx.in().engine_threads();
   ctx.in().note_private_run();
   const core::StudyResult study = core::run_study(mixes, config);
   const auto samples = study.all_samples();
@@ -303,25 +304,25 @@ void register_ablations(std::vector<ArtifactDef>& catalog) {
        "ABLATION — fixed-priority vs. rotating CE service order",
        "fixed hardware priority produces the Figure-7 asymmetry; a fair "
        "rotating arbiter flattens it",
-       render_ablation_service_order});
+       render_ablation_service_order, {}});
   catalog.push_back(
       {"ablation_locality", ArtifactKind::kAblation, "§5.3",
        "ABLATION — data-intensive vs. serial-like concurrent kernels",
        "the Cw->missrate slope comes from the data intensity of parallel "
        "code (§5.3), not from parallelism itself",
-       render_ablation_locality});
+       render_ablation_locality, {}});
   catalog.push_back(
       {"ablation_vector_traffic", ArtifactKind::kAblation, "§5.1",
        "ABLATION — vector (register-to-register) fraction vs. bus traffic",
        "more vector operations -> less CE-to-cache traffic and fewer "
        "misses per bus cycle (§5.1)",
-       render_ablation_vector_traffic});
+       render_ablation_vector_traffic, {}});
   catalog.push_back(
       {"ablation_dispatch", ArtifactKind::kAblation, "§3.2",
        "ABLATION — self-scheduled vs. statically chunked dispatch",
        "hardware self-scheduling absorbs iteration imbalance; static "
        "chunks strand blocks behind slow iterations (DESIGN.md §6.2)",
-       render_ablation_dispatch});
+       render_ablation_dispatch, {}});
 }
 
 }  // namespace repro::artifacts

@@ -105,6 +105,20 @@ class Context {
   ArtifactResult result_;
 };
 
+/// What a render needs before it can start, as the report DAG
+/// (artifacts/runner.hpp) schedules it. `study` and `transition` name
+/// the shared inputs it reads (artifacts/inputs.hpp): each declared
+/// input runs as a root task, and the render starts once its roots are
+/// done. The samples, Pc subset and models derive from the study and
+/// count as it. `solo` asks for the process to itself: the render runs
+/// alone after every other artifact has finished — for artifacts that
+/// time themselves, so no concurrent render skews their clock.
+struct Needs {
+  bool study = false;
+  bool transition = false;
+  bool solo = false;
+};
+
 struct ArtifactDef {
   std::string id;           ///< Stable CLI id, e.g. "fig12".
   ArtifactKind kind = ArtifactKind::kFigure;
@@ -112,6 +126,7 @@ struct ArtifactDef {
   std::string title;        ///< Header line, as the old benches printed.
   std::string paper_claim;  ///< What the paper reports for this artifact.
   std::function<void(Context&)> render;
+  Needs needs;
 };
 
 }  // namespace repro::artifacts

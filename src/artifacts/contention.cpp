@@ -303,7 +303,7 @@ void register_contention(std::vector<ArtifactDef>& catalog) {
        "coarse-grained lock jobs (ticket and MCS queue locks via the CCB "
        "dependence chain) keep completing as clusters are added; Pc stays "
        "bounded by the width and MCS hands off no slower than ticket",
-       render_lock_scaling});
+       render_lock_scaling, {}});
   catalog.push_back(
       {"predictor_validation", ArtifactKind::kExtension, "§6",
        "EXTENSION — analytical lock-throughput model vs. simulator",
@@ -311,7 +311,7 @@ void register_contention(std::vector<ArtifactDef>& catalog) {
        "handoff) brackets the simulator at every sweep point within the "
        "documented tolerance band, and its bounds prune simulation where "
        "they already resolve the answer",
-       render_predictor_validation});
+       render_predictor_validation, {}});
 }
 
 }  // namespace repro::artifacts

@@ -564,43 +564,43 @@ void register_extensions(std::vector<ArtifactDef>& catalog) {
        "EXTENSION — sampling vs. marker-trace ground truth",
        "the thesis' sampling methodology should agree with exact traces "
        "(methodology validation, not a paper artifact)",
-       render_trace_vs_sampling});
+       render_trace_vs_sampling, {}});
   catalog.push_back(
       {"scheduling_policy", ArtifactKind::kExtension, "§6",
        "EXTENSION — scheduling policy vs. workload concurrency",
        "a software scheduling knob shifts when concurrency appears; the "
        "paper flags this study as future work (§6)",
-       render_scheduling_policy});
+       render_scheduling_policy, {}});
   catalog.push_back(
       {"width_sweep", ArtifactKind::kExtension, "§4.1",
        "EXTENSION — concurrency measures across FX/1..FX/8 widths",
        "the measures generalize to any cluster width (§4.1); Pc is "
        "bounded by the width and Cw needs at least two CEs",
-       render_width_sweep});
+       render_width_sweep, {}});
   catalog.push_back(
       {"width_scaling", ArtifactKind::kExtension, "§6",
        "EXTENSION — topology scale-out across FX/8..FX/64 machines",
        "ganging 8-CE clusters behind a second-level bank fabric keeps Pc "
        "climbing with machine width while the width-8 column stays on the "
        "paper's measured bands (§6 scale-out)",
-       render_width_scaling});
+       render_width_scaling, {}});
   catalog.push_back(
       {"correlation_matrix", ArtifactKind::kExtension, "§5.3",
        "EXTENSION — correlation matrix of the sampled measures",
        "strong Cw columns, weak missrate-vs-Pc entry (§5.3)",
-       render_correlation_matrix});
+       render_correlation_matrix, {.study = true}});
   catalog.push_back(
       {"detached_artifact", ArtifactKind::kExtension, "Figure 3 footnote",
        "EXTENSION — detached processes and the Figure-3 footnote",
        "detached serial processes register as active on the CCB probe, "
        "inflating apparent concurrency over the true loop overlap",
-       render_detached_artifact});
+       render_detached_artifact, {}});
   catalog.push_back(
       {"high_concurrency_captures", ArtifactKind::kExtension, "§3.5",
        "EXTENSION — all-8-active triggered captures (second group)",
        "system measures conditioned on full concurrency exceed the "
        "workload averages (the Chapter-5 coupling, seen directly)",
-       render_high_concurrency_captures});
+       render_high_concurrency_captures, {}});
 }
 
 }  // namespace repro::artifacts

@@ -43,35 +43,30 @@ Inputs::Inputs(bool quick, const std::string& cache_dir)
 }
 
 const core::StudyResult& Inputs::study() {
-  if (!study_) {
-    study_ = cached_result<core::StudyResult>(
+  return study_.get([this] {
+    return cached_result<core::StudyResult>(
         store_.get(), study_cache_key(study_config_), [this] {
-          ++counts_.study_runs;
-          return core::run_default_study(study_config_);
+          study_runs_.fetch_add(1, std::memory_order_relaxed);
+          // Keyed by study_config_ above: the worker count never
+          // changes the result.
+          core::StudyConfig config = study_config_;
+          config.threads = engine_threads_;
+          return core::run_default_study(config);
         });
-  }
-  return *study_;
+  });
 }
 
 const std::vector<core::AnalyzedSample>& Inputs::samples() {
-  if (!samples_) {
-    samples_ = study().all_samples();
-  }
-  return *samples_;
+  return samples_.get([this] { return study().all_samples(); });
 }
 
 const std::vector<core::AnalyzedSample>& Inputs::samples_with_pc() {
-  if (!samples_with_pc_) {
-    samples_with_pc_ = core::with_defined_pc(samples());
-  }
-  return *samples_with_pc_;
+  return samples_with_pc_.get(
+      [this] { return core::with_defined_pc(samples()); });
 }
 
 const std::vector<core::MedianModel>& Inputs::models() {
-  if (!models_) {
-    models_ = core::fit_all_models(samples());
-  }
-  return *models_;
+  return models_.get([this] { return core::fit_all_models(samples()); });
 }
 
 const core::MedianModel& Inputs::model(core::SystemMeasure measure,
@@ -85,32 +80,43 @@ const core::MedianModel& Inputs::model(core::SystemMeasure measure,
 }
 
 const core::TransitionResult& Inputs::transition() {
-  if (!transition_) {
-    transition_ = cached_result<core::TransitionResult>(
+  return transition_.get([this] {
+    return cached_result<core::TransitionResult>(
         store_.get(), transition_cache_key(transition_config_), [this] {
-          ++counts_.transition_runs;
+          transition_runs_.fetch_add(1, std::memory_order_relaxed);
           return core::run_transition_study(
               workload::high_concurrency_mix(), transition_config_,
               instr::TriggerMode::kTransitionFromFull);
         });
-  }
-  return *transition_;
+  });
 }
 
 const core::StudyResult* Inputs::study_for_report() {
-  if (study_) {
-    return &*study_;
+  if (const core::StudyResult* study = study_.peek()) {
+    return study;
   }
-  if (store_ != nullptr) {
-    if (auto payload = store_->get(study_cache_key(study_config_))) {
-      try {
-        study_ = decode_result<core::StudyResult>(std::move(*payload));
-        return &*study_;
-      } catch (const capsule::CapsuleError&) {
-      }
-    }
+  if (store_ == nullptr) {
+    return nullptr;
   }
-  return nullptr;
+  auto payload = store_->get(study_cache_key(study_config_));
+  if (!payload) {
+    return nullptr;
+  }
+  try {
+    core::StudyResult decoded =
+        decode_result<core::StudyResult>(std::move(*payload));
+    return &study_.get([&decoded] { return std::move(decoded); });
+  } catch (const capsule::CapsuleError&) {
+    return nullptr;
+  }
+}
+
+RunCounts Inputs::run_counts() const {
+  RunCounts counts;
+  counts.study_runs = study_runs_.load(std::memory_order_relaxed);
+  counts.transition_runs = transition_runs_.load(std::memory_order_relaxed);
+  counts.private_runs = private_runs_.load(std::memory_order_relaxed);
+  return counts;
 }
 
 }  // namespace repro::artifacts

@@ -11,10 +11,18 @@
 // Derived views (the flattened sample population, the Pc-defined subset,
 // the six fitted regression models) are memoized too, since half the
 // artifacts recompute them from the same study.
+//
+// Every memo is once-per-key and safe to call from many threads: the
+// first caller computes under the memo's own mutex, concurrent callers
+// wait for it, and later callers read the stored value. The run
+// counters are atomic. The report DAG (artifacts/runner.hpp) relies on
+// both: its executors render artifacts concurrently against one Inputs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,6 +40,31 @@ struct RunCounts {
   int study_runs = 0;       ///< Shared nine-session studies executed.
   int transition_runs = 0;  ///< Shared transition studies executed.
   int private_runs = 0;     ///< Artifact-private simulations executed.
+};
+
+/// A value computed at most once, by whichever caller asks first. A
+/// throwing computation stores nothing, so the next caller retries.
+template <typename T>
+class Memo {
+ public:
+  template <typename Make>
+  const T& get(const Make& make) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!value_) {
+      value_.emplace(make());
+    }
+    return *value_;
+  }
+
+  /// The value if it was computed, else nullptr. Never computes.
+  [[nodiscard]] const T* peek() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return value_ ? &*value_ : nullptr;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::optional<T> value_;
 };
 
 class Inputs {
@@ -77,7 +110,13 @@ class Inputs {
   /// The cached study if some artifact already forced it, else nullptr
   /// (for reporting — never triggers a run).
   [[nodiscard]] const core::StudyResult* study_if_run() const {
-    return study_ ? &*study_ : nullptr;
+    return study_.peek();
+  }
+
+  /// The cached transition study if some artifact already forced it,
+  /// else nullptr. Never triggers a run.
+  [[nodiscard]] const core::TransitionResult* transition_if_run() const {
+    return transition_.peek();
   }
 
   /// study_if_run(), except a warm store may satisfy it without a run:
@@ -102,21 +141,37 @@ class Inputs {
     return quick_ ? quick : full;
   }
 
-  void note_private_run() { ++counts_.private_runs; }
+  /// Worker count for the engines a render starts: the shared study, a
+  /// private study, a bootstrap. 0 = auto (FX8_THREADS, else the core
+  /// count). The report DAG sets 1 while several renders run at once,
+  /// so concurrent renders do not each start a pool; results never
+  /// depend on it. Set only while no render is running.
+  [[nodiscard]] std::uint32_t engine_threads() const {
+    return engine_threads_;
+  }
+  void set_engine_threads(std::uint32_t threads) { engine_threads_ = threads; }
 
-  [[nodiscard]] const RunCounts& run_counts() const { return counts_; }
+  void note_private_run() {
+    private_runs_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// A snapshot of the run counters.
+  [[nodiscard]] RunCounts run_counts() const;
 
  private:
   bool quick_;
   core::StudyConfig study_config_;
   core::TransitionConfig transition_config_;
   std::unique_ptr<ResultStore> store_;
-  std::optional<core::StudyResult> study_;
-  std::optional<std::vector<core::AnalyzedSample>> samples_;
-  std::optional<std::vector<core::AnalyzedSample>> samples_with_pc_;
-  std::optional<std::vector<core::MedianModel>> models_;
-  std::optional<core::TransitionResult> transition_;
-  RunCounts counts_;
+  std::uint32_t engine_threads_ = 0;
+  Memo<core::StudyResult> study_;
+  Memo<std::vector<core::AnalyzedSample>> samples_;
+  Memo<std::vector<core::AnalyzedSample>> samples_with_pc_;
+  Memo<std::vector<core::MedianModel>> models_;
+  Memo<core::TransitionResult> transition_;
+  std::atomic<int> study_runs_{0};
+  std::atomic<int> transition_runs_{0};
+  std::atomic<int> private_runs_{0};
 };
 
 }  // namespace repro::artifacts

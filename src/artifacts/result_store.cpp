@@ -1,5 +1,8 @@
 #include "artifacts/result_store.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -79,6 +82,15 @@ bool parse_key_hex(const std::string& stem, std::uint64_t& key) {
   return true;
 }
 
+/// `<path>.tmp.<pid>.<seq>`: unique across the threads of this process
+/// and across processes sharing the store directory, so no two writers
+/// ever interleave one temp file.
+std::string temp_path(const std::string& path) {
+  static std::atomic<std::uint64_t> sequence{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+}
+
 }  // namespace
 
 // --- BloomFilter ------------------------------------------------------
@@ -126,7 +138,13 @@ std::string ResultStore::object_path(std::uint64_t key) const {
   return (fs::path(dir_) / "objects" / (key_hex(key) + ".blob")).string();
 }
 
+CacheStats ResultStore::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
+
 std::optional<std::vector<std::uint8_t>> ResultStore::get(std::uint64_t key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   if (!bloom_.maybe_contains(key)) {
     ++stats_.bloom_skips;
     ++stats_.misses;
@@ -167,7 +185,8 @@ void ResultStore::put(std::uint64_t key,
   const std::vector<std::uint8_t> sealed = capsule::seal(framed);
 
   const std::string path = object_path(key);
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = temp_path(path);
+  const std::lock_guard<std::mutex> lock(mutex_);
   try {
     capsule::write_file(tmp, sealed);
     fs::rename(tmp, path);  // Atomic publish; readers never see torn blobs.
@@ -216,7 +235,7 @@ void ResultStore::save_bloom() {
   capsule::Io io = capsule::Io::saver();
   bloom_.serialize(io);
   const std::string path = (fs::path(dir_) / kBloomFile).string();
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = temp_path(path);
   try {
     capsule::write_file(tmp, capsule::seal(io.bytes()));
     fs::rename(tmp, path);

@@ -24,9 +24,15 @@
 // fails the envelope or header checks, is counted in CacheStats, deleted
 // when possible, and recomputed. A missing or corrupt bloom sidecar is
 // rebuilt from the object directory.
+//
+// Concurrency: one mutex serializes get, put and the bloom update, so
+// the report DAG's executors share one store. Temp files carry the
+// process id and a per-process sequence number, so neither two threads
+// nor two processes sharing a directory write the same temp path.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -114,7 +120,8 @@ class ResultStore {
   /// counted, never thrown) and persist the updated bloom.
   void put(std::uint64_t key, const std::vector<std::uint8_t>& payload);
 
-  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+  /// A snapshot of the counters.
+  [[nodiscard]] CacheStats stats() const;
 
   [[nodiscard]] std::string object_path(std::uint64_t key) const;
 
@@ -123,6 +130,7 @@ class ResultStore {
   void save_bloom();
 
   std::string dir_;
+  mutable std::mutex mutex_;  ///< Guards bloom_, stats_ and the files.
   BloomFilter bloom_;
   CacheStats stats_;
 };

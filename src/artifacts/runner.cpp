@@ -1,9 +1,21 @@
 #include "artifacts/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <exception>
+#include <future>
+#include <mutex>
+#include <optional>
+#include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "artifacts/registry.hpp"
+#include "base/thread_pool.hpp"
 #include "core/study.hpp"
 
 namespace repro::artifacts {
@@ -80,29 +92,33 @@ std::string render_header(const ArtifactDef& def) {
   return header;
 }
 
-ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
-  const auto start = std::chrono::steady_clock::now();
+namespace {
 
-  // Warm path: a previously rendered artifact is restored whole from the
-  // store (text, metrics, checks), skipping its simulations entirely. A
-  // corrupt or stale blob is a miss and falls through to the render.
+/// The warm half of run_artifact: the artifact restored whole from the
+/// store (text, metrics, checks), or nullopt on any kind of miss. A
+/// corrupt or stale blob is a miss and falls through to the render.
+std::optional<ArtifactResult> lookup_artifact(const ArtifactDef& def,
+                                              Inputs& inputs) {
   ResultStore* store = inputs.store();
-  const std::uint64_t key =
-      store != nullptr ? inputs.artifact_key(def.id) : 0;
-  if (store != nullptr) {
-    if (auto payload = store->get(key)) {
-      try {
-        ArtifactResult cached =
-            decode_result<ArtifactResult>(std::move(*payload));
-        if (cached.id == def.id) {
-          cached.seconds = seconds_since(start);
-          return cached;
-        }
-      } catch (const capsule::CapsuleError&) {
+  if (store == nullptr) {
+    return std::nullopt;
+  }
+  if (auto payload = store->get(inputs.artifact_key(def.id))) {
+    try {
+      ArtifactResult cached =
+          decode_result<ArtifactResult>(std::move(*payload));
+      if (cached.id == def.id) {
+        return cached;
       }
+    } catch (const capsule::CapsuleError&) {
     }
   }
+  return std::nullopt;
+}
 
+/// The cold half: render, time, and cache the result.
+ArtifactResult render_artifact(const ArtifactDef& def, Inputs& inputs) {
+  const auto start = std::chrono::steady_clock::now();
   Context ctx(inputs);
   try {
     def.render(ctx);
@@ -116,19 +132,243 @@ ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
   result.seconds = seconds_since(start);
   // Only clean renders are cached: a tolerance failure or error is cheap
   // to reproduce and should never be served from disk once fixed.
+  ResultStore* store = inputs.store();
   if (store != nullptr && result.status == ArtifactStatus::kOk) {
-    store->put(key, encode_result(result));
+    store->put(inputs.artifact_key(def.id), encode_result(result));
   }
   return result;
 }
 
+/// Hand the heap a pooled render freed back to the OS. Concurrent
+/// renders allocate from separate glibc arenas, and the slack each one
+/// keeps would otherwise stack up in the process's peak RSS.
+void return_free_memory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+/// One run of the report DAG over the store misses of a selection.
+///
+/// Tasks are the two shared inputs (roots) and the pooled artifacts. A
+/// root is queued only when some pending artifact declares it, ahead of
+/// every artifact; an artifact is queued once all its declared roots
+/// have finished. Executors pull from one FIFO until every task is done.
+/// A failed root is swallowed: its dependents force the input again and
+/// report the failure as their own render error, as a serial run would.
+class ReportDag {
+ public:
+  ReportDag(const std::vector<const ArtifactDef*>& defs, Inputs& inputs,
+            std::vector<std::optional<ArtifactResult>>& results,
+            const ResultCallback& on_result, std::vector<std::size_t> pooled,
+            std::vector<std::size_t> solo)
+      : defs_(defs),
+        inputs_(inputs),
+        on_result_(on_result),
+        pooled_(std::move(pooled)),
+        solo_(std::move(solo)),
+        results_(results),
+        roots_left_(defs.size(), 0) {
+    Needs declared;  // The roots some pending artifact reads.
+    for (const auto* slots : {&pooled_, &solo_}) {
+      for (const std::size_t slot : *slots) {
+        declared.study = declared.study || defs_[slot]->needs.study;
+        declared.transition =
+            declared.transition || defs_[slot]->needs.transition;
+      }
+    }
+    if (declared.study) {
+      ready_.push_back({Task::kStudy, 0});
+    }
+    if (declared.transition) {
+      ready_.push_back({Task::kTransition, 0});
+    }
+    unfinished_ = ready_.size() + pooled_.size();
+    for (const std::size_t slot : pooled_) {
+      const Needs& needs = defs_[slot]->needs;
+      roots_left_[slot] = (needs.study ? 1 : 0) + (needs.transition ? 1 : 0);
+      if (roots_left_[slot] == 0) {
+        ready_.push_back({Task::kArtifact, slot});
+      }
+    }
+  }
+
+  /// Tasks for the executors: the roots plus the pooled artifacts.
+  [[nodiscard]] std::size_t tasks() const { return unfinished_; }
+
+  /// One executor: run tasks until the graph is drained.
+  void work() {
+    for (;;) {
+      Task task{};
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock,
+                 [this] { return !ready_.empty() || unfinished_ == 0; });
+        if (ready_.empty()) {
+          return;
+        }
+        task = ready_.front();
+        ready_.pop_front();
+      }
+      finish(task, run(task));
+      deliver();
+    }
+  }
+
+  /// Render the solo artifacts, one at a time, on the calling thread.
+  void run_solo() {
+    for (const std::size_t slot : solo_) {
+      ArtifactResult result = render_artifact(*defs_[slot], inputs_);
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        results_[slot] = std::move(result);
+      }
+      deliver();
+    }
+  }
+
+  /// Hand the caller every leading result that is done and not yet
+  /// delivered. A filled slot is never written again, so the callback
+  /// reads it outside the graph's lock.
+  void deliver() {
+    const std::lock_guard<std::mutex> delivering(deliver_mutex_);
+    for (;;) {
+      const ArtifactResult* next = nullptr;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (next_ < results_.size() && results_[next_].has_value()) {
+          next = &*results_[next_];
+        }
+      }
+      if (next == nullptr) {
+        return;
+      }
+      if (on_result_) {
+        on_result_(*next);
+      }
+      ++next_;
+    }
+  }
+
+ private:
+  struct Task {
+    enum Kind { kStudy, kTransition, kArtifact } kind;
+    std::size_t slot;
+  };
+
+  std::optional<ArtifactResult> run(const Task& task) {
+    try {
+      switch (task.kind) {
+        case Task::kStudy:
+          (void)inputs_.study();
+          return std::nullopt;
+        case Task::kTransition:
+          (void)inputs_.transition();
+          return std::nullopt;
+        case Task::kArtifact:
+          break;
+      }
+    } catch (...) {
+      return std::nullopt;  // Dependents retry and report it.
+    }
+    ArtifactResult result = render_artifact(*defs_[task.slot], inputs_);
+    return_free_memory();
+    return result;
+  }
+
+  /// Record a finished task: store an artifact's result, or release the
+  /// artifacts that were waiting on a root.
+  void finish(const Task& task, std::optional<ArtifactResult> result) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (task.kind == Task::kArtifact) {
+      results_[task.slot] = std::move(result);
+    } else {
+      const bool study = task.kind == Task::kStudy;
+      for (const std::size_t slot : pooled_) {
+        const Needs& needs = defs_[slot]->needs;
+        if ((study ? needs.study : needs.transition) &&
+            --roots_left_[slot] == 0) {
+          ready_.push_back({Task::kArtifact, slot});
+        }
+      }
+    }
+    --unfinished_;
+    cv_.notify_all();
+  }
+
+  const std::vector<const ArtifactDef*>& defs_;
+  Inputs& inputs_;
+  const ResultCallback& on_result_;
+  const std::vector<std::size_t> pooled_;
+  const std::vector<std::size_t> solo_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<std::optional<ArtifactResult>>& results_;  ///< By mutex_.
+  std::vector<int> roots_left_;  ///< Per slot: declared roots not done.
+  std::deque<Task> ready_;
+  std::size_t unfinished_ = 0;  ///< Graph tasks not yet finished.
+  std::mutex deliver_mutex_;    ///< Serializes on_result_ calls.
+  std::size_t next_ = 0;        ///< First undelivered slot; deliver_mutex_.
+};
+
+}  // namespace
+
+ArtifactResult run_artifact(const ArtifactDef& def, Inputs& inputs) {
+  const auto start = std::chrono::steady_clock::now();
+  if (std::optional<ArtifactResult> cached = lookup_artifact(def, inputs)) {
+    cached->seconds = seconds_since(start);
+    return std::move(*cached);
+  }
+  return render_artifact(def, inputs);
+}
+
 RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
-                        Inputs& inputs) {
+                        Inputs& inputs, const ResultCallback& on_result,
+                        std::size_t executors) {
   RunReport report;
   const auto start = std::chrono::steady_clock::now();
-  for (const ArtifactDef* def : defs) {
-    ArtifactResult result = run_artifact(*def, inputs);
-    switch (result.status) {
+
+  // Store lookups first, serially: an all-hit run never starts a thread.
+  std::vector<std::optional<ArtifactResult>> results(defs.size());
+  std::vector<std::size_t> pooled;
+  std::vector<std::size_t> solo;
+  for (std::size_t slot = 0; slot < defs.size(); ++slot) {
+    const auto lookup_start = std::chrono::steady_clock::now();
+    results[slot] = lookup_artifact(*defs[slot], inputs);
+    if (results[slot]) {
+      results[slot]->seconds = seconds_since(lookup_start);
+    } else {
+      (defs[slot]->needs.solo ? solo : pooled).push_back(slot);
+    }
+  }
+
+  const bool all_hit = pooled.empty() && solo.empty();
+  ReportDag dag(defs, inputs, results, on_result, std::move(pooled),
+                std::move(solo));
+  dag.deliver();
+  if (!all_hit) {
+    report.executors = std::max<std::size_t>(
+        1, std::min(base::ThreadPool::resolve_workers(executors), dag.tasks()));
+    // Several renders at once run their engines serially: the process
+    // then never holds more simulation threads than executors.
+    inputs.set_engine_threads(report.executors > 1 ? 1 : 0);
+    {
+      base::ThreadPool helpers(report.executors - 1);
+      std::vector<std::future<void>> joined;
+      for (std::size_t i = 1; i < report.executors; ++i) {
+        joined.push_back(helpers.submit([&dag] { dag.work(); }));
+      }
+      dag.work();
+      for (std::future<void>& helper : joined) {
+        helper.get();
+      }
+    }
+    inputs.set_engine_threads(0);
+    dag.run_solo();
+  }
+
+  for (std::optional<ArtifactResult>& result : results) {
+    switch (result->status) {
       case ArtifactStatus::kOk:
         ++report.ok;
         break;
@@ -139,7 +379,7 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
         ++report.errors;
         break;
     }
-    report.results.push_back(std::move(result));
+    report.results.push_back(std::move(*result));
   }
   report.run_counts = inputs.run_counts();
   report.total_seconds = seconds_since(start);
@@ -191,7 +431,7 @@ core::Json build_report_json(const RunReport& report, const Inputs& inputs,
   // scripts/report_diff.py excludes it — like `seconds` — when checking
   // cold-vs-warm report identity.
   if (const ResultStore* store = inputs.store()) {
-    const CacheStats& stats = store->stats();
+    const CacheStats stats = store->stats();
     core::Json cache = core::Json::object();
     cache.set("enabled", true);
     cache.set("dir", store->dir());

@@ -1,8 +1,18 @@
 // The artifact runner: executes a selection of the catalog against one
 // shared input cache, times each render, and assembles the structured
 // JSON report fx8bench emits.
+//
+// run_artifacts renders the selection as a dependency-ordered task
+// graph (docs/parallel_execution.md, "Report DAG"): store lookups run
+// first and serially; only the misses are rendered, concurrently, with
+// the shared study and transition as root tasks ahead of the artifacts
+// that declare them; solo artifacts render alone after the graph
+// drains. Results come back in selection order whatever order they
+// finished in, so the report's bytes do not depend on the schedule.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,6 +26,9 @@ struct RunReport {
   std::vector<ArtifactResult> results;
   RunCounts run_counts;
   double total_seconds = 0.0;
+  /// Threads that rendered store misses: 0 when every artifact was a
+  /// hit (no thread is started), else the calling thread plus helpers.
+  std::size_t executors = 0;
   int ok = 0;
   int tolerance_failed = 0;
   int errors = 0;
@@ -33,9 +46,16 @@ struct RunReport {
 [[nodiscard]] ArtifactResult run_artifact(const ArtifactDef& def,
                                           Inputs& inputs);
 
-/// Run the given defs in catalog order against one shared cache.
+/// Receives each result of run_artifacts, in selection order, as soon
+/// as it and every result before it are done. Calls never overlap.
+using ResultCallback = std::function<void(const ArtifactResult&)>;
+
+/// Run the given defs against one shared cache. Misses render on
+/// ThreadPool::resolve_workers(executors) threads, the calling thread
+/// among them; the results (and `on_result` calls) keep `defs` order.
 [[nodiscard]] RunReport run_artifacts(
-    const std::vector<const ArtifactDef*>& defs, Inputs& inputs);
+    const std::vector<const ArtifactDef*>& defs, Inputs& inputs,
+    const ResultCallback& on_result = {}, std::size_t executors = 0);
 
 /// The fx8bench JSON document (schema: docs/benchmarks.md).
 [[nodiscard]] core::Json build_report_json(const RunReport& report,

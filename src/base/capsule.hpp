@@ -97,8 +97,15 @@ class Io {
   /// Container-size handshake: encodes `n` when saving/digesting and
   /// returns it; returns the decoded count when loading. Callers size
   /// their container from the return value.
+  ///
+  /// Every walked element encodes at least one byte, so a loaded count
+  /// larger than the bytes left in the payload cannot be genuine: it is
+  /// rejected here, before any caller sizes a container from it.
   [[nodiscard]] std::uint64_t extent(std::uint64_t n) {
     u64(n);
+    if (loading() && n > buf_.size() - cursor_) {
+      throw CapsuleError("capsule: element count exceeds payload");
+    }
     return n;
   }
 

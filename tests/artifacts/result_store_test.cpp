@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/capsule.hpp"
@@ -195,17 +196,76 @@ TEST_F(ResultStoreTest, BloomSidecarFailureIsNotAPutError) {
   ResultStore store(dir_.string());
   store.put(0xCCC0, payload({7}));
   EXPECT_EQ(store.stats().bloom_save_errors, 0u);
-  // Squat a non-empty directory on the sidecar's temp path: the blob
-  // itself still lands, only the bloom save fails. This used to be
-  // charged to put_errors — double-counting every sidecar failure
-  // against puts that had in fact succeeded.
-  fs::create_directories(dir_ / "bloom.bin.tmp" / "squat");
+  // Squat a non-empty directory on the sidecar's own path, so the
+  // rename that publishes it fails: the blob itself still lands, only
+  // the bloom save fails. This used to be charged to put_errors —
+  // double-counting every sidecar failure against puts that had in
+  // fact succeeded.
+  fs::remove(dir_ / "bloom.bin");
+  fs::create_directories(dir_ / "bloom.bin" / "squat");
   store.put(0xCCCC, payload({1, 2}));
   EXPECT_EQ(store.stats().puts, 2u);
   EXPECT_EQ(store.stats().put_errors, 0u);
   EXPECT_GE(store.stats().bloom_save_errors, 1u);
   // The freshly put blob is still perfectly readable.
   EXPECT_TRUE(store.get(0xCCCC).has_value());
+}
+
+TEST_F(ResultStoreTest, LegacyTempPathsDoNotBlockWriters) {
+  // Temp names are per process and per write, so a directory squatting
+  // on the old shared `<path>.tmp` names blocks neither the blob nor
+  // the sidecar.
+  ResultStore store(dir_.string());
+  fs::create_directories(fs::path(store.object_path(0xD00D) + ".tmp") /
+                         "squat");
+  fs::create_directories(dir_ / "bloom.bin.tmp" / "squat");
+  store.put(0xD00D, payload({4, 2}));
+  EXPECT_EQ(store.stats().puts, 1u);
+  EXPECT_EQ(store.stats().put_errors, 0u);
+  EXPECT_EQ(store.stats().bloom_save_errors, 0u);
+  EXPECT_TRUE(store.get(0xD00D).has_value());
+}
+
+TEST_F(ResultStoreTest, ConcurrentPutsAndGetsStayConsistent) {
+  ResultStore store(dir_.string());
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeys = 24;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        const std::uint64_t key = (static_cast<std::uint64_t>(t) << 32) | k;
+        store.put(key, payload({t, static_cast<int>(k)}));
+        // Read a neighbour's key: a hit or a clean miss, never garbage.
+        const std::uint64_t other =
+            (static_cast<std::uint64_t>((t + 1) % kThreads) << 32) | k;
+        if (auto got = store.get(other)) {
+          EXPECT_EQ(*got, payload({(t + 1) % kThreads, static_cast<int>(k)}));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const CacheStats stats = store.stats();
+  EXPECT_EQ(stats.puts, kThreads * kKeys);
+  EXPECT_EQ(stats.put_errors, 0u);
+  EXPECT_EQ(stats.bloom_save_errors, 0u);
+  EXPECT_EQ(stats.corrupt_misses, 0u);
+  // Every write published; no temp file left behind.
+  for (const auto& entry : fs::recursive_directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
+        << entry.path();
+  }
+  ResultStore reopened(dir_.string());
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_TRUE(
+          reopened.get((static_cast<std::uint64_t>(t) << 32) | k).has_value());
+    }
+  }
+  EXPECT_EQ(reopened.stats().bloom_skips, 0u);
 }
 
 // --- Key derivation ---------------------------------------------------

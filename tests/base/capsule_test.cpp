@@ -151,6 +151,22 @@ TEST(CapsuleIo, RejectsStringPastPayloadEnd) {
   EXPECT_THROW(loader.str(value), CapsuleError);
 }
 
+TEST(CapsuleIo, RejectsElementCountPastPayloadEnd) {
+  // A count of 3 with 3 bytes after it is plausible; 4 is not, since
+  // every walked element encodes at least one byte.
+  std::vector<std::uint8_t> payload = {3, 0, 0, 0, 0, 0, 0, 0, 'a', 'b', 'c'};
+  Io plausible = Io::loader(payload);
+  EXPECT_EQ(plausible.extent(0), 3u);
+  payload[0] = 4;
+  Io loader = Io::loader(std::move(payload));
+  EXPECT_THROW((void)loader.extent(0), CapsuleError);
+}
+
+TEST(CapsuleIo, ExtentLeavesSaverCountsAlone) {
+  Io saver = Io::saver();
+  EXPECT_EQ(saver.extent(1u << 20), 1u << 20);
+}
+
 TEST(CapsuleIo, ExhaustedTracksConsumption) {
   Io saver = Io::saver();
   std::uint64_t value = 7;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -135,6 +136,32 @@ TEST(CapsuleSystem, ArbitraryCycleSaveRestores) {
   fresh.run(777);
   EXPECT_EQ(fresh.state_digest(), rig->system.state_digest());
   EXPECT_EQ(fresh.now(), rig->system.now());
+}
+
+TEST(CapsuleSession, HugeBusQueueDepthIsRejectedCleanly) {
+  auto rig = warm_rig();
+  std::vector<std::uint8_t> payload = capsule::unseal(
+      save_session(rig->system, rig->generator, rig->controller));
+  // The bus walk is embedded verbatim in the session walk, and its
+  // first field is bus 0's queue depth.
+  capsule::Io bus = capsule::Io::saver();
+  rig->system.machine().membus().serialize(bus);
+  const auto at = std::search(payload.begin(), payload.end(),
+                              bus.bytes().begin(), bus.bytes().end());
+  ASSERT_NE(at, payload.end());
+  const std::uint64_t depth = std::uint64_t{1} << 40;
+  for (int i = 0; i < 8; ++i) {
+    at[i] = static_cast<std::uint8_t>(depth >> (8 * i));
+  }
+  // Re-sealed with a correct digest, so only the walk can catch it.
+  const std::vector<std::uint8_t> resealed = capsule::seal(payload);
+  auto fresh = std::make_unique<Rig>(workload::session_presets()[2],
+                                     os::SystemConfig{}, tiny_sampling(),
+                                     0x1234);
+  EXPECT_THROW(
+      load_session(resealed, fresh->system, fresh->generator,
+                   fresh->controller),
+      capsule::CapsuleError);
 }
 
 TEST(CapsuleSystem, LoadRejectsTamperedCapsule) {
