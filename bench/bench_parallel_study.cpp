@@ -10,12 +10,11 @@
 //
 //   1. serial, fast-forward off (the naive reference),
 //   2. serial, fast-forward on,
-//   3. parallel (auto threads), fast-forward on, finer replicate tasks,
-//   4. bootstrap-heavy: eight replicate rigs per session on one thread,
-//      advanced serially and then in lockstep (rig_batch = 8) through
-//      the wide lane kernel,
+//   3. parallel (auto threads), fast-forward on, one task per
+//      (session, replicate),
 //
-// verifies all runs are bit-identical, and reports simulated
+// plus the study on the width-16 and width-64 machines. It verifies
+// that all runs are bit-identical, and reports simulated
 // cycles/sec for each plus the fast-forward and parallel speedups as
 // JSON — both to stdout and to BENCH_parallel_study.json — so perf
 // regressions in the tick loop, the horizon logic, or the pool show up
@@ -191,45 +190,11 @@ int main(int argc, char** argv) {
                     identical(reference, parallel.result);
   }
 
-  // Run 4: the bootstrap-heavy datapoint — eight replicate rigs per
-  // session on one thread, advanced serially (rig_batch = 1) and then
-  // in lockstep through the wide lane kernel (rig_batch = 8). Same
-  // decomposition, same seeds: the two runs must be bit-identical, and
-  // their wall-clock ratio is the rig-batching speedup on top of the
-  // fused serial kernel.
-  TimedRun batch_serial;
-  TimedRun batched;
-  std::uint32_t batch_rigs = 0;
-  double batch_total_cycles = 0.0;
-  if (!baseline_only) {
-    core::StudyConfig bootstrap = core::presets::quick_study();
-    bootstrap.threads = 1;
-    bootstrap.fast_forward = true;
-    bootstrap.replicates_per_session = 8;
-    bootstrap.rig_batch = 1;
-    batch_serial = timed_study(bootstrap);
-    bootstrap.rig_batch = 8;
-    batch_rigs = bootstrap.rig_batch;
-    batched = timed_study(bootstrap);
-    bit_identical =
-        bit_identical && identical(batch_serial.result, batched.result);
-    // Every replicate warms its own rig, so the simulated-cycle total
-    // grows with the replicate count.
-    batch_total_cycles =
-        static_cast<double>(sessions) *
-        (static_cast<double>(bootstrap.replicates_per_session) *
-             static_cast<double>(bootstrap.warmup_cycles) +
-         static_cast<double>(bootstrap.samples_per_session) *
-             static_cast<double>(bootstrap.sampling.interval_cycles));
-  }
-  const double batch_speedup = !baseline_only && batched.seconds > 0.0
-                                   ? batch_serial.seconds / batched.seconds
-                                   : 0.0;
-
-  // Run 5: the width-16 topology datapoint — the same quick study on a
+  // Run 4: the width-16 topology datapoint — the same quick study on a
   // two-cluster fx16 machine (serial, fast-forward on), plus a
-  // batched-vs-serial identity check at that width, so scale-out
-  // throughput and correctness regressions land on the dashboard too.
+  // replicated pooled-vs-serial identity check at that width, so
+  // scale-out throughput and correctness regressions land on the
+  // dashboard too.
   TimedRun width16;
   if (!baseline_only) {
     core::StudyConfig wide = core::presets::quick_study();
@@ -237,17 +202,16 @@ int main(int argc, char** argv) {
     wide.fast_forward = true;
     wide.system.machine = fx8::MachineConfig::fx16();
     width16 = timed_study(wide);
-    core::StudyConfig wide_batched = wide;
-    wide_batched.replicates_per_session = 4;
-    wide_batched.rig_batch = 4;
-    core::StudyConfig wide_serial = wide_batched;
-    wide_serial.rig_batch = 1;
+    core::StudyConfig wide_serial = wide;
+    wide_serial.replicates_per_session = 4;
+    core::StudyConfig wide_pooled = wide_serial;
+    wide_pooled.threads = threads;
     bit_identical = bit_identical &&
                     identical(core::run_default_study(wide_serial),
-                              core::run_default_study(wide_batched));
+                              core::run_default_study(wide_pooled));
   }
 
-  // Run 6: the width-64 datapoint — eight clusters through the
+  // Run 5: the width-64 datapoint — eight clusters through the
   // machine-wide lane pass. The widest preset is where the width-native
   // kernel (one pass per cycle instead of one per cluster) pays most, so
   // its cycles/sec rides the dashboard next to width16.
@@ -315,18 +279,9 @@ int main(int argc, char** argv) {
       rate(total_cycles, ff.seconds), rate(total_cycles, parallel.seconds),
       naive.seconds, ff.seconds, rate(total_cycles, naive.seconds),
       rate(total_cycles, ff.seconds), ff_speedup);
-  char batch_json[384];
-  std::snprintf(
-      batch_json, sizeof(batch_json),
-      "\"batch_rigs\": %u, \"lane_kernel\": \"%s\", "
-      "\"batch_total_cycles\": %.0f, "
-      "\"batch_serial_seconds\": %.4f, \"batch_seconds\": %.4f, "
-      "\"batch_serial_cycles_per_sec\": %.0f, "
-      "\"batch_cycles_per_sec\": %.0f, \"batch_speedup\": %.3f, ",
-      batch_rigs, fx8::lane_pass_name(fx8::select_lane_pass()),
-      batch_total_cycles, batch_serial.seconds, batched.seconds,
-      rate(batch_total_cycles, batch_serial.seconds),
-      rate(batch_total_cycles, batched.seconds), batch_speedup);
+  char kernel_json[64];
+  std::snprintf(kernel_json, sizeof(kernel_json), "\"lane_kernel\": \"%s\", ",
+                fx8::lane_pass_name(fx8::select_lane_pass()));
   char width_json[320];
   std::snprintf(
       width_json, sizeof(width_json),
@@ -345,7 +300,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ff.result.ff.block_cycles),
       static_cast<unsigned long long>(ff.result.ff.naive_cycles),
       bit_identical ? "true" : "false");
-  const std::string json = std::string(head) + speedup_json + batch_json +
+  const std::string json = std::string(head) + speedup_json + kernel_json +
                            width_json + tail + session_json + "}}";
 
   std::printf("%s\n", json.c_str());

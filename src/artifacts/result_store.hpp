@@ -55,7 +55,8 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 /// key, so a stale store degrades to a full miss.
 /// v3: study keys fold the session workload mixes (the contention
 /// family made mixes an experimental axis a key must cover).
-inline constexpr std::uint32_t kCodeVersion = 3;
+/// v4: the StudyConfig key walk no longer carries the rig-batch width.
+inline constexpr std::uint32_t kCodeVersion = 4;
 
 /// The salt every key is seeded with.
 inline constexpr std::uint64_t kCodeSalt =

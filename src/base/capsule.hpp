@@ -38,7 +38,9 @@ class CapsuleError : public std::runtime_error {
 
 /// Capsule payload format version. Bump on any change to a serialize()
 /// walk; unseal() rejects every other version.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// v2: the Mmu translation memo holds one entry per CE lane (it used to
+/// hold one per (rig, CE) pair for lockstep-batched machines).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 enum class Mode : std::uint8_t { kSave, kLoad, kDigest };
 

@@ -152,21 +152,7 @@ class Machine {
   [[nodiscard]] LanePassFn lane_pass() const { return lane_pass_; }
   void set_lane_pass(LanePassFn pass) { lane_pass_ = pass; }
 
-  /// Rig lane this machine's CEs present to the MMU translation memo.
-  /// Machines sharing one Mmu inside a RigBatch must carry distinct
-  /// indices (< kMaxBatchRigs) so their memo slots never cross-hit; a
-  /// machine owning its Mmu keeps the default 0. See Ce::set_mmu_rig.
-  void set_mmu_rig(std::uint32_t rig) {
-    for (auto& cluster : clusters_) {
-      cluster->set_mmu_rig(rig);
-    }
-  }
-
  private:
-  /// The lockstep batch driver replays tick_block's loop across several
-  /// machines and needs the per-cycle component sequence (fx8/rig_batch).
-  friend class RigBatch;
-
   MachineConfig config_;
   ResolvedTopology topology_;
   std::unique_ptr<mem::MainMemory> memory_;

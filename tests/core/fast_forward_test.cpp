@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,16 +31,18 @@ struct FfParam {
   std::uint32_t detached = 0;
 };
 
-std::string param_name(const ::testing::TestParamInfo<FfParam>& info) {
-  std::string name = info.param.mix + "_w" +
-                     std::to_string(info.param.width) + "_d" +
-                     std::to_string(info.param.detached);
+/// Names the test and its printed parameter. Without a printer gtest
+/// dumps the raw bytes, here including the mix string's heap pointer,
+/// which made the listed test names differ from build to build.
+void PrintTo(const FfParam& param, std::ostream* os) {
+  std::string name = param.mix + "_w" + std::to_string(param.width) +
+                     "_d" + std::to_string(param.detached);
   for (char& c : name) {
     if (c == '-') {
       c = '_';
     }
   }
-  return name;
+  *os << name;
 }
 
 workload::WorkloadMix find_mix(const std::string& name) {
@@ -203,7 +206,8 @@ std::vector<FfParam> sweep_params() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FastForwardDifferential,
-                         ::testing::ValuesIn(sweep_params()), param_name);
+                         ::testing::ValuesIn(sweep_params()),
+                         ::testing::PrintToStringParamName());
 
 // The study engine's switch: forcing the naive path through StudyConfig
 // must reproduce the fast-forward study bit-for-bit, replicates and

@@ -425,6 +425,82 @@ TEST(WideKernel, BlockOfOneMatchesSingleTickAtWidth16) {
   EXPECT_FALSE(wk_any_busy(block));
 }
 
+// Heterogeneous block budgets against naive singles: every
+// tick_block(budget) advances 1..budget cycles, returns early only at the
+// end of the first cycle that raised a control event (a job completing
+// in any cluster peels the whole block off there), and leaves the machine
+// exactly where as many naive ticks leave its twin.
+TEST(WideKernel, BlockBudgetsStopAtFirstControlEvent) {
+  for (const auto& config : wide_configs()) {
+    for (const Cycle budget : {Cycle{1}, Cycle{7}, Cycle{61}, Cycle{256}}) {
+      fx8::NoFaultMmu mmu_a;
+      fx8::NoFaultMmu mmu_b;
+      fx8::Machine naive(config, mmu_a);
+      fx8::Machine block(config, mmu_b);
+      const auto progs = wk_programs(naive.n_clusters());
+      wk_load(naive, progs);
+      wk_load(block, progs);
+      std::uint64_t early_returns = 0;
+      Cycle guard = 0;
+      while (wk_any_busy(block)) {
+        const std::uint64_t events_before = block.cluster(0).control_events();
+        const Cycle advanced = block.tick_block(budget);
+        ASSERT_GE(advanced, 1u);
+        ASSERT_LE(advanced, budget);
+        // No control event before the block's last cycle...
+        for (Cycle c = 1; c < advanced; ++c) {
+          naive.tick();
+        }
+        ASSERT_EQ(naive.cluster(0).control_events(), events_before)
+            << "budget " << budget << " at cycle " << naive.now();
+        naive.tick();
+        // ...and a short block ended on one.
+        if (advanced < budget) {
+          ++early_returns;
+          ASSERT_GT(block.cluster(0).control_events(), events_before);
+        }
+        expect_same_wide(WideState::capture(naive), WideState::capture(block));
+        ASSERT_LT(guard += advanced, 10'000'000u);
+      }
+      EXPECT_FALSE(wk_any_busy(naive));
+      if (budget > 1) {
+        EXPECT_GT(early_returns, 0u) << "budget " << budget;
+      }
+    }
+  }
+}
+
+// Budgets that change from one block to the next, as a session driver's
+// do between control decisions: each block advances on its own budget
+// alone, and the machine matches its naive twin after every block.
+TEST(WideKernel, MixedBudgetSequenceMatchesNaive) {
+  const std::array<Cycle, 6> budgets = {31, 131, 997, 1, 7, 256};
+  for (const auto& config : wide_configs()) {
+    fx8::NoFaultMmu mmu_a;
+    fx8::NoFaultMmu mmu_b;
+    fx8::Machine naive(config, mmu_a);
+    fx8::Machine block(config, mmu_b);
+    const auto progs = wk_programs(naive.n_clusters());
+    wk_load(naive, progs);
+    wk_load(block, progs);
+    std::size_t blocks = 0;
+    Cycle guard = 0;
+    while (wk_any_busy(block)) {
+      const Cycle budget = budgets[blocks++ % budgets.size()];
+      const Cycle advanced = block.tick_block(budget);
+      ASSERT_GE(advanced, 1u);
+      ASSERT_LE(advanced, budget);
+      for (Cycle c = 0; c < advanced; ++c) {
+        naive.tick();
+      }
+      expect_same_wide(WideState::capture(naive), WideState::capture(block));
+      ASSERT_LT(guard += advanced, 10'000'000u);
+    }
+    EXPECT_FALSE(wk_any_busy(naive));
+    EXPECT_GE(blocks, budgets.size());  // Every budget was used.
+  }
+}
+
 // Clusters split between loop work and detached serial processes: the
 // peel must keep the detached lanes' service position, and detached
 // completions must stop blocks exactly as cluster jobs do.
