@@ -214,12 +214,16 @@ int main(int argc, char** argv) {
         std::fflush(stdout);
       });
 
-  // Summary footer.
+  // Summary footer. Utilisation: how much of the executors' wall time
+  // the report DAG kept busy (an all-hit run starts none).
   std::printf("=============================================================\n");
+  const double capacity =
+      static_cast<double>(report.executors) * report.total_seconds;
   std::printf("fx8bench: %zu artifacts, %d ok, %d tolerance-failed, "
-              "%d errors (%.1fs%s)\n",
+              "%d errors (%.1fs, %zu executor(s) %.0f%% busy%s)\n",
               report.results.size(), report.ok, report.tolerance_failed,
-              report.errors, report.total_seconds,
+              report.errors, report.total_seconds, report.executors,
+              capacity > 0.0 ? 100.0 * report.busy_seconds / capacity : 0.0,
               quick ? ", quick" : "");
   std::printf("experiments: %d study run(s), %d transition run(s), "
               "%d artifact-private run(s)\n",

@@ -108,15 +108,12 @@ class Context {
 /// What a render needs before it can start, as the report DAG
 /// (artifacts/runner.hpp) schedules it. `study` and `transition` name
 /// the shared inputs it reads (artifacts/inputs.hpp): each declared
-/// input runs as a root task, and the render starts once its roots are
-/// done. The samples, Pc subset and models derive from the study and
-/// count as it. `solo` asks for the process to itself: the render runs
-/// alone after every other artifact has finished — for artifacts that
-/// time themselves, so no concurrent render skews their clock.
+/// input runs as tasks of the graph (the study as its session parts),
+/// and the render starts once its inputs are done. The samples, Pc
+/// subset and models derive from the study and count as it.
 struct Needs {
   bool study = false;
   bool transition = false;
-  bool solo = false;
 };
 
 struct ArtifactDef {

@@ -80,6 +80,12 @@ class Inputs {
   /// exactly the pre-cache behaviour.
   explicit Inputs(bool quick = false, const std::string& cache_dir = {});
 
+  /// Inputs over explicit shared-experiment configs instead of the
+  /// presets `quick` picks; `quick` still scales the private runs.
+  Inputs(const core::StudyConfig& study,
+         const core::TransitionConfig& transition, bool quick,
+         const std::string& cache_dir = {});
+
   [[nodiscard]] bool quick() const { return quick_; }
   [[nodiscard]] const core::StudyConfig& study_config() const {
     return study_config_;
@@ -90,6 +96,16 @@ class Inputs {
 
   /// The shared nine-session study (memoized; runs on first call).
   const core::StudyResult& study();
+
+  /// The shared study as parts for the report DAG to schedule, or
+  /// nullptr when the memo or the store already holds it (a store hit
+  /// fills the memo). Never simulates.
+  [[nodiscard]] std::unique_ptr<core::StudyPlan> study_plan();
+
+  /// study(), with the simulation done by `plan`'s parts: assembles
+  /// them into the memo and writes the study back to the store. Counts
+  /// as the one study run.
+  const core::StudyResult& assemble_study(core::StudyPlan& plan);
 
   /// study().all_samples(), flattened once.
   const std::vector<core::AnalyzedSample>& samples();
@@ -141,11 +157,12 @@ class Inputs {
     return quick_ ? quick : full;
   }
 
-  /// Worker count for the engines a render starts: the shared study, a
-  /// private study, a bootstrap. 0 = auto (FX8_THREADS, else the core
-  /// count). The report DAG sets 1 while several renders run at once,
-  /// so concurrent renders do not each start a pool; results never
-  /// depend on it. Set only while no render is running.
+  /// Worker count for the engines a render starts: a private study, a
+  /// bootstrap, and the shared study when study() runs it whole. 0 =
+  /// auto (FX8_THREADS, else the core count). The report DAG sets 1
+  /// while several renders run at once, so concurrent renders do not
+  /// each start a pool (it runs the shared study as its own parts);
+  /// results never depend on it. Set only while no render is running.
   [[nodiscard]] std::uint32_t engine_threads() const {
     return engine_threads_;
   }

@@ -3,9 +3,11 @@
 // tracks cycles/sec datapoints like every other artifact.
 //
 // All timing metrics are recorded as informational notes — shared CI
-// runners time-slice, so wall-clock bands would flake. The one enforced
-// check is timing-independent: the fused Machine::tick_block path must
-// leave the machine bit-identical to the naive tick loop.
+// runners time-slice, and in a cold reproduction the rates are taken
+// while other artifacts render on the report DAG's other executors, so
+// wall-clock bands would flake. The one enforced check is
+// timing-independent: the fused Machine::tick_block path must leave the
+// machine bit-identical to the naive tick loop.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -146,7 +148,7 @@ void register_perf(std::vector<ArtifactDef>& catalog) {
        "PERF — simulated-machine throughput (fused tick kernel)",
        "substrate self-check: cycles/sec of the naive and fused per-cycle "
        "paths (no paper claim; timing notes are informational)",
-       render_perf_simulator, {.solo = true}});
+       render_perf_simulator, {}});
 }
 
 }  // namespace repro::artifacts

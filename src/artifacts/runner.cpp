@@ -6,6 +6,7 @@
 #include <deque>
 #include <exception>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -150,54 +151,69 @@ void return_free_memory() {
 
 /// One run of the report DAG over the store misses of a selection.
 ///
-/// Tasks are the two shared inputs (roots) and the pooled artifacts. A
-/// root is queued only when some pending artifact declares it, ahead of
-/// every artifact; an artifact is queued once all its declared roots
-/// have finished. Executors pull from one FIFO until every task is done.
-/// A failed root is swallowed: its dependents force the input again and
-/// report the failure as their own render error, as a serial run would.
+/// Tasks are the shared study's parts and their assembly, the shared
+/// transition, and the pending artifacts. The transition is queued only
+/// when some pending artifact declares it, the study parts only when one
+/// declares the study and neither the memo nor the store holds it. The
+/// queue starts with the transition, then the artifacts that need no
+/// shared input (the private runs), then the study parts, which fill the
+/// executors' tail. The last part to finish queues the assembly at the
+/// front; the assembly and the transition each release the artifacts
+/// waiting on them. Executors pull from the one queue until every task
+/// is done. A failed part or transition is swallowed: its dependents
+/// force the input again and report the failure as their own render
+/// error, as a serial run would.
 class ReportDag {
  public:
   ReportDag(const std::vector<const ArtifactDef*>& defs, Inputs& inputs,
             std::vector<std::optional<ArtifactResult>>& results,
-            const ResultCallback& on_result, std::vector<std::size_t> pooled,
-            std::vector<std::size_t> solo)
+            const ResultCallback& on_result,
+            std::vector<std::size_t> pending)
       : defs_(defs),
         inputs_(inputs),
         on_result_(on_result),
-        pooled_(std::move(pooled)),
-        solo_(std::move(solo)),
+        pending_(std::move(pending)),
         results_(results),
-        roots_left_(defs.size(), 0) {
-    Needs declared;  // The roots some pending artifact reads.
-    for (const auto* slots : {&pooled_, &solo_}) {
-      for (const std::size_t slot : *slots) {
-        declared.study = declared.study || defs_[slot]->needs.study;
-        declared.transition =
-            declared.transition || defs_[slot]->needs.transition;
-      }
+        inputs_left_(defs.size(), 0) {
+    Needs declared;  // The shared inputs some pending artifact reads.
+    for (const std::size_t slot : pending_) {
+      declared.study = declared.study || defs_[slot]->needs.study;
+      declared.transition =
+          declared.transition || defs_[slot]->needs.transition;
     }
     if (declared.study) {
-      ready_.push_back({Task::kStudy, 0});
+      plan_ = inputs_.study_plan();
     }
     if (declared.transition) {
       ready_.push_back({Task::kTransition, 0});
     }
-    unfinished_ = ready_.size() + pooled_.size();
-    for (const std::size_t slot : pooled_) {
+    for (const std::size_t slot : pending_) {
       const Needs& needs = defs_[slot]->needs;
-      roots_left_[slot] = (needs.study ? 1 : 0) + (needs.transition ? 1 : 0);
-      if (roots_left_[slot] == 0) {
+      inputs_left_[slot] =
+          (needs.study && plan_ ? 1 : 0) + (needs.transition ? 1 : 0);
+      if (inputs_left_[slot] == 0) {
         ready_.push_back({Task::kArtifact, slot});
       }
     }
+    unfinished_ = pending_.size() + (declared.transition ? 1 : 0);
+    if (plan_) {
+      parts_left_ = plan_->parts();
+      for (std::size_t part = 0; part < parts_left_; ++part) {
+        ready_.push_back({Task::kPart, part});
+      }
+      unfinished_ += parts_left_ + 1;  // The parts and their assembly.
+    }
   }
 
-  /// Tasks for the executors: the roots plus the pooled artifacts.
+  /// Tasks for the executors: parts, assembly, transition, artifacts.
   [[nodiscard]] std::size_t tasks() const { return unfinished_; }
+
+  /// Summed task wall time over every executor that has returned.
+  [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
 
   /// One executor: run tasks until the graph is drained.
   void work() {
+    double busy = 0.0;
     for (;;) {
       Task task{};
       {
@@ -205,24 +221,15 @@ class ReportDag {
         cv_.wait(lock,
                  [this] { return !ready_.empty() || unfinished_ == 0; });
         if (ready_.empty()) {
+          busy_seconds_ += busy;
           return;
         }
         task = ready_.front();
         ready_.pop_front();
       }
+      const auto start = std::chrono::steady_clock::now();
       finish(task, run(task));
-      deliver();
-    }
-  }
-
-  /// Render the solo artifacts, one at a time, on the calling thread.
-  void run_solo() {
-    for (const std::size_t slot : solo_) {
-      ArtifactResult result = render_artifact(*defs_[slot], inputs_);
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        results_[slot] = std::move(result);
-      }
+      busy += seconds_since(start);
       deliver();
     }
   }
@@ -252,15 +259,18 @@ class ReportDag {
 
  private:
   struct Task {
-    enum Kind { kStudy, kTransition, kArtifact } kind;
-    std::size_t slot;
+    enum Kind { kPart, kAssemble, kTransition, kArtifact } kind;
+    std::size_t index;  ///< The part, or the artifact's slot.
   };
 
   std::optional<ArtifactResult> run(const Task& task) {
     try {
       switch (task.kind) {
-        case Task::kStudy:
-          (void)inputs_.study();
+        case Task::kPart:
+          plan_->run_part(task.index);
+          return std::nullopt;
+        case Task::kAssemble:
+          (void)inputs_.assemble_study(*plan_);
           return std::nullopt;
         case Task::kTransition:
           (void)inputs_.transition();
@@ -271,25 +281,36 @@ class ReportDag {
     } catch (...) {
       return std::nullopt;  // Dependents retry and report it.
     }
-    ArtifactResult result = render_artifact(*defs_[task.slot], inputs_);
+    ArtifactResult result = render_artifact(*defs_[task.index], inputs_);
     return_free_memory();
     return result;
   }
 
-  /// Record a finished task: store an artifact's result, or release the
-  /// artifacts that were waiting on a root.
+  /// Record a finished task: store an artifact's result, queue the
+  /// assembly after the last part, or release the artifacts that were
+  /// waiting on a shared input.
   void finish(const Task& task, std::optional<ArtifactResult> result) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (task.kind == Task::kArtifact) {
-      results_[task.slot] = std::move(result);
-    } else {
-      const bool study = task.kind == Task::kStudy;
-      for (const std::size_t slot : pooled_) {
-        const Needs& needs = defs_[slot]->needs;
-        if ((study ? needs.study : needs.transition) &&
-            --roots_left_[slot] == 0) {
-          ready_.push_back({Task::kArtifact, slot});
+    switch (task.kind) {
+      case Task::kArtifact:
+        results_[task.index] = std::move(result);
+        break;
+      case Task::kPart:
+        if (--parts_left_ == 0) {
+          ready_.push_front({Task::kAssemble, 0});
         }
+        break;
+      case Task::kAssemble:
+      case Task::kTransition: {
+        const bool study = task.kind == Task::kAssemble;
+        for (const std::size_t slot : pending_) {
+          const Needs& needs = defs_[slot]->needs;
+          if ((study ? needs.study : needs.transition) &&
+              --inputs_left_[slot] == 0) {
+            ready_.push_back({Task::kArtifact, slot});
+          }
+        }
+        break;
       }
     }
     --unfinished_;
@@ -299,14 +320,16 @@ class ReportDag {
   const std::vector<const ArtifactDef*>& defs_;
   Inputs& inputs_;
   const ResultCallback& on_result_;
-  const std::vector<std::size_t> pooled_;
-  const std::vector<std::size_t> solo_;
+  const std::vector<std::size_t> pending_;
+  std::unique_ptr<core::StudyPlan> plan_;  ///< Null: no study to run.
   std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::optional<ArtifactResult>>& results_;  ///< By mutex_.
-  std::vector<int> roots_left_;  ///< Per slot: declared roots not done.
+  std::vector<int> inputs_left_;  ///< Per slot: shared inputs not done.
   std::deque<Task> ready_;
+  std::size_t parts_left_ = 0;  ///< Study parts not yet finished.
   std::size_t unfinished_ = 0;  ///< Graph tasks not yet finished.
+  double busy_seconds_ = 0.0;   ///< Returned executors' task time.
   std::mutex deliver_mutex_;    ///< Serializes on_result_ calls.
   std::size_t next_ = 0;        ///< First undelivered slot; deliver_mutex_.
 };
@@ -330,25 +353,22 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
 
   // Store lookups first, serially: an all-hit run never starts a thread.
   std::vector<std::optional<ArtifactResult>> results(defs.size());
-  std::vector<std::size_t> pooled;
-  std::vector<std::size_t> solo;
+  std::vector<std::size_t> pending;
   for (std::size_t slot = 0; slot < defs.size(); ++slot) {
     const auto lookup_start = std::chrono::steady_clock::now();
     results[slot] = lookup_artifact(*defs[slot], inputs);
     if (results[slot]) {
       results[slot]->seconds = seconds_since(lookup_start);
     } else {
-      (defs[slot]->needs.solo ? solo : pooled).push_back(slot);
+      pending.push_back(slot);
     }
   }
 
-  const bool all_hit = pooled.empty() && solo.empty();
-  ReportDag dag(defs, inputs, results, on_result, std::move(pooled),
-                std::move(solo));
+  ReportDag dag(defs, inputs, results, on_result, std::move(pending));
   dag.deliver();
-  if (!all_hit) {
-    report.executors = std::max<std::size_t>(
-        1, std::min(base::ThreadPool::resolve_workers(executors), dag.tasks()));
+  if (dag.tasks() > 0) {
+    report.executors = std::min(base::ThreadPool::resolve_workers(executors),
+                                dag.tasks());
     // Several renders at once run their engines serially: the process
     // then never holds more simulation threads than executors.
     inputs.set_engine_threads(report.executors > 1 ? 1 : 0);
@@ -364,7 +384,7 @@ RunReport run_artifacts(const std::vector<const ArtifactDef*>& defs,
       }
     }
     inputs.set_engine_threads(0);
-    dag.run_solo();
+    report.busy_seconds = dag.busy_seconds();
   }
 
   for (std::optional<ArtifactResult>& result : results) {

@@ -4,11 +4,12 @@
 //
 // run_artifacts renders the selection as a dependency-ordered task
 // graph (docs/parallel_execution.md, "Report DAG"): store lookups run
-// first and serially; only the misses are rendered, concurrently, with
-// the shared study and transition as root tasks ahead of the artifacts
-// that declare them; solo artifacts render alone after the graph
-// drains. Results come back in selection order whatever order they
-// finished in, so the report's bytes do not depend on the schedule.
+// first and serially; only the misses are rendered, concurrently. The
+// shared transition and the shared study's (session, replicate) parts
+// run as tasks of the same graph, and each artifact starts once the
+// shared inputs it declares are done. Results come back in selection
+// order whatever order they finished in, so the report's bytes do not
+// depend on the schedule.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +30,10 @@ struct RunReport {
   /// Threads that rendered store misses: 0 when every artifact was a
   /// hit (no thread is started), else the calling thread plus helpers.
   std::size_t executors = 0;
+  /// Task wall time summed over the executors: busy / (executors *
+  /// total_seconds) is how well the graph kept them busy. 0 when every
+  /// artifact was a hit. Describes the run, so it stays out of the JSON.
+  double busy_seconds = 0.0;
   int ok = 0;
   int tolerance_failed = 0;
   int errors = 0;

@@ -14,17 +14,6 @@ namespace repro::core {
 
 namespace {
 
-/// One replicate's share of a session: the task unit of the parallel
-/// study engine (docs/parallel_execution.md). Splitting sessions into
-/// replicates turns 9 coarse tasks into 9*R finer ones, which is what
-/// keeps every worker busy through the tail of the run.
-struct SessionPart {
-  std::vector<AnalyzedSample> samples;
-  instr::EventCounts totals;
-  instr::FastForwardStats ff;
-  std::uint32_t width = kMaxCes;
-};
-
 /// Replicate count a config resolves to (always >= 1, never more than
 /// one replicate per sample).
 std::uint32_t resolve_replicates(const StudyConfig& config) {
@@ -67,15 +56,14 @@ struct SessionRig {
 };
 
 /// Run replicate `replicate` of a session: its own system, generator,
-/// and controller, warmed up and sampled — one thread-pool task. A pure
+/// and controller, warmed up and sampled — one study part. A pure
 /// function of its arguments. With checkpoint sharding on, the rig is
 /// capsuled, destroyed, rebuilt, and restored at every shard boundary —
 /// digest-checked bit-identity with the uninterrupted run, so the sample
 /// stream is unchanged.
-SessionPart run_replicate(const workload::WorkloadMix& mix,
-                          const StudyConfig& config,
-                          std::uint64_t session_seed, std::uint32_t replicate,
-                          std::uint32_t replicates) {
+StudyPart run_replicate(const workload::WorkloadMix& mix,
+                        const StudyConfig& config, std::uint64_t session_seed,
+                        std::uint32_t replicate, std::uint32_t replicates) {
   const std::uint64_t seed = replicate_seed(session_seed, replicate);
   const std::uint32_t n_samples =
       replicate_samples(config, replicate, replicates);
@@ -86,7 +74,7 @@ SessionPart run_replicate(const workload::WorkloadMix& mix,
   // Warm up: let the workload reach steady state before sampling.
   rig->controller.advance(config.warmup_cycles);
 
-  SessionPart part;
+  StudyPart part;
   part.width = rig->system.machine().total_ces();
   part.samples.reserve(n_samples);
   const std::uint32_t shard = config.checkpoint_every_samples;
@@ -122,16 +110,16 @@ SessionPart run_replicate(const workload::WorkloadMix& mix,
 /// SessionResult — the same arithmetic whether the parts were computed
 /// serially or on the pool.
 SessionResult merge_parts(const workload::WorkloadMix& mix,
-                          std::vector<SessionPart> parts) {
+                          std::vector<StudyPart> parts) {
   SessionResult result;
   result.name = mix.name;
   std::uint32_t width = kMaxCes;
   std::size_t total = 0;
-  for (const SessionPart& part : parts) {
+  for (const StudyPart& part : parts) {
     total += part.samples.size();
   }
   result.samples.reserve(total);
-  for (SessionPart& part : parts) {
+  for (StudyPart& part : parts) {
     width = part.width;
     result.samples.insert(result.samples.end(),
                           std::make_move_iterator(part.samples.begin()),
@@ -171,7 +159,7 @@ SessionResult run_session(const workload::WorkloadMix& mix,
                           const StudyConfig& config,
                           std::uint64_t session_seed) {
   const std::uint32_t replicates = resolve_replicates(config);
-  std::vector<SessionPart> parts;
+  std::vector<StudyPart> parts;
   parts.reserve(replicates);
   for (std::uint32_t r = 0; r < replicates; ++r) {
     parts.push_back(run_replicate(mix, config, session_seed, r, replicates));
@@ -179,52 +167,41 @@ SessionResult run_session(const workload::WorkloadMix& mix,
   return merge_parts(mix, std::move(parts));
 }
 
-StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
-                      const StudyConfig& config) {
-  StudyResult study;
-  // Session seeds are derived serially, in mix order, *before* any
-  // dispatch: the seed stream is identical however many workers run.
+StudyPlan::StudyPlan(std::span<const workload::WorkloadMix> mixes,
+                     const StudyConfig& config)
+    : mixes_(mixes.begin(), mixes.end()),
+      config_(config),
+      replicates_(resolve_replicates(config)),
+      parts_(mixes.size() * replicates_) {
   std::uint64_t seed_state = config.seed;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(mixes.size());
+  seeds_.reserve(mixes.size());
   for (std::size_t i = 0; i < mixes.size(); ++i) {
-    seeds.push_back(splitmix64(seed_state));
+    seeds_.push_back(splitmix64(seed_state));
   }
+}
 
-  study.sessions.reserve(mixes.size());
-  const std::uint32_t replicates = resolve_replicates(config);
-  const std::size_t tasks = mixes.size() * replicates;
-  const std::uint32_t threads = resolve_threads(config);
-  if (threads <= 1 || tasks <= 1) {
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      study.sessions.push_back(run_session(mixes[i], config, seeds[i]));
+void StudyPlan::run_part(std::size_t part) {
+  REPRO_EXPECT(part < parts_.size(), "study part out of range");
+  const std::size_t mix = part / replicates_;
+  parts_[part] =
+      run_replicate(mixes_[mix], config_, seeds_[mix],
+                    static_cast<std::uint32_t>(part % replicates_),
+                    replicates_);
+}
+
+StudyResult StudyPlan::assemble() {
+  StudyResult study;
+  study.sessions.reserve(mixes_.size());
+  for (std::size_t i = 0; i < mixes_.size(); ++i) {
+    std::vector<StudyPart> parts;
+    parts.reserve(replicates_);
+    for (std::uint32_t r = 0; r < replicates_; ++r) {
+      std::optional<StudyPart>& part = parts_[i * replicates_ + r];
+      REPRO_EXPECT(part.has_value(), "study part not run before assembly");
+      parts.push_back(std::move(*part));
+      part.reset();
     }
-  } else {
-    // Each (session, replicate) task owns its replicate's independent
-    // os::System; the only shared state is the read-only mixes/config.
-    // Futures are collected in (mix, replicate) order, so the merge
-    // arithmetic — and therefore every bit of the result — matches the
-    // serial path.
-    base::ThreadPool pool(std::min<std::size_t>(threads, tasks));
-    std::vector<std::future<SessionPart>> futures;
-    futures.reserve(tasks);
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      for (std::uint32_t r = 0; r < replicates; ++r) {
-        futures.push_back(
-            pool.submit([&mixes, &config, &seeds, i, r, replicates] {
-              return run_replicate(mixes[i], config, seeds[i], r,
-                                   replicates);
-            }));
-      }
-    }
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-      std::vector<SessionPart> parts;
-      parts.reserve(replicates);
-      for (std::uint32_t r = 0; r < replicates; ++r) {
-        parts.push_back(futures[i * replicates + r].get());
-      }
-      study.sessions.push_back(merge_parts(mixes[i], std::move(parts)));
-    }
+    study.sessions.push_back(merge_parts(mixes_[i], std::move(parts)));
   }
   for (const SessionResult& session : study.sessions) {
     study.totals.merge(session.totals);
@@ -239,6 +216,27 @@ StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
   study.overall = ConcurrencyMeasures::from_counts(
       std::span(study.totals.num).first(width + 1));
   return study;
+}
+
+StudyResult run_study(std::span<const workload::WorkloadMix> mixes,
+                      const StudyConfig& config) {
+  StudyPlan plan(mixes, config);
+  // Each part owns its replicate's independent os::System; the only
+  // shared state is the plan's read-only mixes, config and seeds. A pool
+  // of 0 workers runs the parts inline, in order.
+  const std::size_t tasks = plan.parts();
+  const std::size_t threads = resolve_threads(config);
+  base::ThreadPool pool(threads <= 1 || tasks <= 1 ? 0
+                                                   : std::min(threads, tasks));
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks);
+  for (std::size_t part = 0; part < tasks; ++part) {
+    futures.push_back(pool.submit([&plan, part] { plan.run_part(part); }));
+  }
+  for (std::future<void>& future : futures) {
+    future.get();
+  }
+  return plan.assemble();
 }
 
 StudyResult run_default_study(const StudyConfig& config) {

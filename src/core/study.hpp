@@ -6,7 +6,9 @@
 // samples plus aggregate measures.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,6 +98,47 @@ struct StudyResult {
   /// measures, fast-forward accounting — so the result cache restores a
   /// study bit-identically without re-running it.
   void serialize(capsule::Io& io);
+};
+
+/// What one (session, replicate) part of a study measured: one
+/// replicate's own rig, warmed up and sampled. Parts are the task unit of
+/// the parallel study engine (docs/parallel_execution.md): splitting
+/// sessions into replicates turns 9 coarse tasks into 9*R finer ones.
+struct StudyPart {
+  std::vector<AnalyzedSample> samples;
+  instr::EventCounts totals;
+  instr::FastForwardStats ff;
+  std::uint32_t width = kMaxCes;
+};
+
+/// A study split into its independent (session, replicate) parts: run
+/// every part, in any order and on any threads, then assemble. Part `i`
+/// is replicate `i % R` of mix `i / R`. Session seeds are derived
+/// serially, in mix order, when the plan is made, so the seed stream is
+/// the same however the parts are scheduled, and assemble() folds the
+/// parts in (mix, replicate) order: the result is bit-identical to every
+/// other schedule. run_study() is this plan on a pool or on one thread.
+class StudyPlan {
+ public:
+  StudyPlan(std::span<const workload::WorkloadMix> mixes,
+            const StudyConfig& config);
+
+  [[nodiscard]] std::size_t parts() const { return parts_.size(); }
+
+  /// Run part `part`: a pure function of the plan. Distinct parts may
+  /// run concurrently; each part runs once.
+  void run_part(std::size_t part);
+
+  /// Fold the parts into the study. Every part must have run; the parts
+  /// are moved out, so a plan assembles once.
+  [[nodiscard]] StudyResult assemble();
+
+ private:
+  std::vector<workload::WorkloadMix> mixes_;
+  StudyConfig config_;
+  std::vector<std::uint64_t> seeds_;  ///< One per mix.
+  std::uint32_t replicates_;
+  std::vector<std::optional<StudyPart>> parts_;
 };
 
 /// Run one session with the given mix.

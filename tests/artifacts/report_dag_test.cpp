@@ -1,26 +1,26 @@
 // The report DAG (artifacts/runner.hpp): concurrent renders against one
 // shared Inputs must reproduce the serial report exactly, run every
-// shared experiment at most once, honour each artifact's declared
-// needs, keep solo artifacts alone, and leave an all-hit run threadless.
+// shared experiment at most once (the study as its session parts),
+// honour each artifact's declared needs, and leave an all-hit run
+// threadless.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "artifacts/registry.hpp"
 #include "artifacts/runner.hpp"
+#include "base/capsule.hpp"
+#include "core/presets.hpp"
 
 namespace repro::artifacts {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 ArtifactDef stub(const std::string& id, std::function<void(Context&)> render,
                  Needs needs = {}) {
@@ -32,6 +32,13 @@ ArtifactDef stub(const std::string& id, std::function<void(Context&)> render,
   def.render = std::move(render);
   def.needs = needs;
   return def;
+}
+
+std::uint64_t digest_of(const core::StudyResult& study) {
+  capsule::Io io = capsule::Io::digester();
+  core::StudyResult copy = study;
+  copy.serialize(io);
+  return io.digest();
 }
 
 std::vector<const ArtifactDef*> whole_catalog() {
@@ -199,6 +206,15 @@ TEST_F(ReportDag, QuickCatalogIsIdenticalAtOneAndThreeExecutors) {
   EXPECT_EQ(pooled.run_counts.private_runs, serial.run_counts.private_runs);
   EXPECT_EQ(normalised(serial, serial_inputs),
             normalised(pooled, pooled_inputs));
+
+  // Both assembled the study from parts; it is the serial engine's.
+  core::StudyConfig config = core::presets::quick_study();
+  config.threads = 1;
+  const std::uint64_t expected = digest_of(core::run_default_study(config));
+  ASSERT_NE(serial_inputs.study_if_run(), nullptr);
+  ASSERT_NE(pooled_inputs.study_if_run(), nullptr);
+  EXPECT_EQ(digest_of(*serial_inputs.study_if_run()), expected);
+  EXPECT_EQ(digest_of(*pooled_inputs.study_if_run()), expected);
 }
 
 TEST_F(ReportDag, NeedsDeclarationsMatchWhatRendersForce) {
@@ -221,47 +237,83 @@ TEST_F(ReportDag, NeedsDeclarationsMatchWhatRendersForce) {
   }
 }
 
-TEST_F(ReportDag, OnlyPerfSimulatorRendersSolo) {
-  for (const ArtifactDef& def : catalog()) {
-    EXPECT_EQ(def.needs.solo, def.id == "perf_simulator") << def.id;
+TEST_F(ReportDag, StoredStudyQueuesNoParts) {
+  {
+    Inputs seed(/*quick=*/true, dir_.string());
+    (void)seed.study();
   }
+  const ArtifactDef reader = stub(
+      "reader",
+      [](Context& ctx) {
+        ctx.printf("%zu sessions\n", ctx.in().study().sessions.size());
+      },
+      {.study = true});
+  Inputs inputs(/*quick=*/true, dir_.string());
+  const RunReport report = run_artifacts({&reader}, inputs, {}, 3);
+  EXPECT_EQ(report.ok, 1);
+  EXPECT_EQ(report.results[0].text, "9 sessions\n");
+  EXPECT_EQ(report.run_counts.study_runs, 0);
+  // The render was the graph's only task: no parts, no assembly.
+  EXPECT_EQ(report.executors, 1u);
 }
 
-TEST_F(ReportDag, SoloStartsAfterEveryPooledArtifactFinished) {
-  std::mutex mutex;
-  std::vector<Clock::time_point> pooled_ends;
-  Clock::time_point solo_start;
-  const auto pooled = [&](int sleep_ms) {
-    return [&, sleep_ms](Context& ctx) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      ctx.printf("pooled\n");
-      const std::lock_guard<std::mutex> lock(mutex);
-      pooled_ends.push_back(Clock::now());
-    };
-  };
-  const ArtifactDef solo = stub(
-      "solo",
-      [&](Context&) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        solo_start = Clock::now();
-      },
-      {.solo = true});
-  const ArtifactDef a = stub("a", pooled(40));
-  const ArtifactDef b = stub("b", pooled(10));
-  const ArtifactDef c = stub("c", pooled(25));
-  Inputs inputs(/*quick=*/true);
-  // Solo listed first: it is still rendered last, but reported first.
-  const RunReport report = run_artifacts({&solo, &a, &b, &c}, inputs, {}, 3);
-  ASSERT_EQ(pooled_ends.size(), 3u);
-  EXPECT_GE(solo_start,
-            *std::max_element(pooled_ends.begin(), pooled_ends.end()));
-  ASSERT_EQ(report.results.size(), 4u);
-  EXPECT_EQ(report.results[0].id, "solo");
-  EXPECT_EQ(report.results[1].id, "a");
-  EXPECT_EQ(report.results[3].id, "c");
-  // Nothing declared the shared inputs, so no root ran.
+TEST_F(ReportDag, ThrowingStudyPartFailsItsDependents) {
+  // No snapshots per sample: every part's session controller throws.
+  core::StudyConfig broken = core::presets::quick_study();
+  broken.sampling.snapshots_per_sample = 0;
+  Inputs inputs(broken, core::presets::quick_transition(), /*quick=*/true);
+  const ArtifactDef reader = stub(
+      "reader", [](Context& ctx) { (void)ctx.in().samples(); },
+      {.study = true});
+  const ArtifactDef bystander =
+      stub("bystander", [](Context& ctx) { ctx.printf("fine\n"); });
+  const RunReport report =
+      run_artifacts({&reader, &bystander}, inputs, {}, 2);
+  ASSERT_EQ(report.results.size(), 2u);
+  EXPECT_EQ(report.results[0].status, ArtifactStatus::kError);
+  EXPECT_NE(report.results[0].error.find("snapshot"), std::string::npos)
+      << report.results[0].error;
+  EXPECT_EQ(report.results[1].status, ArtifactStatus::kOk);
+  EXPECT_EQ(report.errors, 1);
+  EXPECT_EQ(report.exit_code(), 2);
   EXPECT_EQ(inputs.study_if_run(), nullptr);
-  EXPECT_EQ(inputs.transition_if_run(), nullptr);
+}
+
+TEST_F(ReportDag, StudyOnlySelectionSharesTheStudyAcrossExecutors) {
+  const ArtifactDef* table3 = find_artifact("table3");
+  ASSERT_NE(table3, nullptr);
+  ASSERT_TRUE(table3->needs.study);
+  Inputs serial_inputs(/*quick=*/true);
+  const RunReport serial = run_artifacts({table3}, serial_inputs, {}, 1);
+  Inputs pooled_inputs(/*quick=*/true);
+  const RunReport pooled = run_artifacts({table3}, pooled_inputs, {}, 2);
+  // Nine parts, the assembly and the render: both executors take parts.
+  EXPECT_EQ(pooled.executors, 2u);
+  EXPECT_EQ(pooled.ok, 1);
+  EXPECT_EQ(pooled.run_counts.study_runs, 1);
+  EXPECT_EQ(pooled.results[0].text, serial.results[0].text);
+}
+
+TEST_F(ReportDag, BusySecondsFitTheExecutors) {
+  const auto sleeper = [](Context& ctx) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ctx.printf("slept\n");
+  };
+  const ArtifactDef a = stub("busy_a", sleeper);
+  const ArtifactDef b = stub("busy_b", sleeper);
+  const ArtifactDef c = stub("busy_c", sleeper);
+  {
+    Inputs cold(/*quick=*/true, dir_.string());
+    const RunReport report = run_artifacts({&a, &b, &c}, cold, {}, 2);
+    EXPECT_EQ(report.executors, 2u);
+    EXPECT_GT(report.busy_seconds, 0.0);
+    EXPECT_LE(report.busy_seconds,
+              static_cast<double>(report.executors) * report.total_seconds);
+  }
+  Inputs warm(/*quick=*/true, dir_.string());
+  const RunReport report = run_artifacts({&a, &b, &c}, warm, {}, 2);
+  EXPECT_EQ(report.executors, 0u);
+  EXPECT_EQ(report.busy_seconds, 0.0);
 }
 
 TEST_F(ReportDag, CallbackStreamsInSelectionOrder) {
@@ -289,7 +341,7 @@ TEST_F(ReportDag, AllHitRunCreatesNoPool) {
   {
     Inputs cold(/*quick=*/true, dir_.string());
     const RunReport report = run_artifacts({&a, &b}, cold, {}, 3);
-    EXPECT_EQ(report.executors, 3u);  // Two roots plus two renders.
+    EXPECT_EQ(report.executors, 3u);  // Parts, transition, two renders.
     EXPECT_EQ(report.ok, 2);
   }
   Inputs warm(/*quick=*/true, dir_.string());

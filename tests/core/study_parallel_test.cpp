@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <random>
+#include <thread>
+#include <vector>
 
+#include "base/capsule.hpp"
+#include "base/expect.hpp"
 #include "core/regression_models.hpp"
 
 namespace repro::core {
@@ -94,6 +101,59 @@ TEST(StudyParallel, ResolveThreadsPrefersConfigThenEnv) {
   EXPECT_EQ(resolve_threads(quick_config(4)), 4u);
   ASSERT_EQ(unsetenv("FX8_THREADS"), 0);
   EXPECT_GE(resolve_threads(quick_config(0)), 1u);
+}
+
+std::uint64_t digest_of(const StudyResult& study) {
+  capsule::Io io = capsule::Io::digester();
+  StudyResult copy = study;
+  copy.serialize(io);
+  return io.digest();
+}
+
+// The study plan is run_study's only engine; the report DAG runs its
+// parts as graph tasks in whatever order its executors reach them. Any
+// order, on any threads, must assemble to the same study.
+TEST(StudyPlan, PartsInAnyOrderAssembleToRunStudy) {
+  const auto mixes = workload::session_presets();
+  StudyConfig config = quick_config(1);
+  config.replicates_per_session = 2;  // Parts are (session, replicate).
+  const std::uint64_t serial = digest_of(run_study(mixes, config));
+  config.threads = 2;
+  EXPECT_EQ(digest_of(run_study(mixes, config)), serial);
+
+  StudyPlan reversed(mixes, config);
+  ASSERT_EQ(reversed.parts(), mixes.size() * 2);
+  for (std::size_t part = reversed.parts(); part-- > 0;) {
+    reversed.run_part(part);
+  }
+  EXPECT_EQ(digest_of(reversed.assemble()), serial);
+
+  // Shuffled, and dealt alternately to two threads running at once.
+  StudyPlan shuffled(mixes, config);
+  std::vector<std::size_t> order(shuffled.parts());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::shuffle(order.begin(), order.end(), std::mt19937(1987));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&shuffled, &order, t] {
+      for (std::size_t i = t; i < order.size(); i += 2) {
+        shuffled.run_part(order[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(digest_of(shuffled.assemble()), serial);
+}
+
+TEST(StudyPlan, AssemblingWithAPartMissingThrows) {
+  const auto mixes = workload::session_presets();
+  StudyPlan plan(mixes, quick_config(1));
+  for (std::size_t part = 1; part < plan.parts(); ++part) {
+    plan.run_part(part);
+  }
+  EXPECT_THROW((void)plan.assemble(), ContractViolation);
 }
 
 }  // namespace
