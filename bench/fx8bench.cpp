@@ -232,12 +232,10 @@ int main(int argc, char** argv) {
               report.run_counts.private_runs);
   if (const artifacts::ResultStore* store = inputs.store()) {
     const artifacts::CacheStats stats = store->stats();
-    std::printf("cache: %llu hit(s), %llu miss(es) (%llu bloom-skipped, "
-                "%llu corrupt), %llu put(s), %llu B read, %llu B written "
-                "[%s]\n",
+    std::printf("cache: %llu hit(s), %llu miss(es) (%llu corrupt), "
+                "%llu put(s), %llu B read, %llu B written [%s]\n",
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.misses),
-                static_cast<unsigned long long>(stats.bloom_skips),
                 static_cast<unsigned long long>(stats.corrupt_misses),
                 static_cast<unsigned long long>(stats.puts),
                 static_cast<unsigned long long>(stats.bytes_read),

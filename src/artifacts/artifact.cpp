@@ -45,13 +45,15 @@ void ArtifactResult::serialize(capsule::Io& io) {
   }
   io.str(error);
   io.str(text);
-  auto n_metrics = io.extent(metrics.size());
+  // A metric is at least an empty name and a value (8 + 8 bytes).
+  auto n_metrics = io.extent(metrics.size(), 16);
   metrics.resize(n_metrics);
   for (Metric& metric : metrics) {
     io.str(metric.name);
     io.f64(metric.value);
   }
-  auto n_checks = io.extent(checks.size());
+  // A check: an empty name, four doubles, two bools (8 + 32 + 2).
+  auto n_checks = io.extent(checks.size(), 42);
   checks.resize(n_checks);
   for (Check& check : checks) {
     io.str(check.name);

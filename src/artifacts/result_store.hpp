@@ -22,13 +22,12 @@
 // Robustness contract: the store can only ever *miss*, never return a
 // wrong answer. A truncated, tampered, wrong-version, or stale-salt blob
 // fails the envelope or header checks, is counted in CacheStats, deleted
-// when possible, and recomputed. A missing or corrupt bloom sidecar is
-// rebuilt from the object directory.
+// when possible, and recomputed. An absent key is one failed open().
 //
-// Concurrency: one mutex serializes get, put and the bloom update, so
-// the report DAG's executors share one store. Temp files carry the
-// process id and a per-process sequence number, so neither two threads
-// nor two processes sharing a directory write the same temp path.
+// Concurrency: one mutex serializes get and put, so the report DAG's
+// executors share one store. Temp files carry the process id and a
+// per-process sequence number, so neither two threads nor two processes
+// sharing a directory write the same temp path.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +44,10 @@
 
 namespace repro::artifacts {
 
-/// Store directory format version: the envelope laid around blobs and
-/// the bloom sidecar. Bump on layout changes.
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+/// Store directory format version: the header laid in front of every
+/// blob payload and the directory layout. Bump on layout changes.
+/// v2: no bloom sidecar; a leftover `bloom.bin` is ignored.
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Manually bumped experiment-semantics version. Bump whenever simulator
 /// or artifact-render changes alter what any config would produce — the
@@ -68,45 +68,18 @@ inline constexpr std::uint64_t kCodeSalt =
 /// and by --cache-stats.
 struct CacheStats {
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;        ///< Includes bloom skips and corrupt blobs.
-  std::uint64_t bloom_skips = 0;   ///< Misses resolved without touching disk.
+  std::uint64_t misses = 0;        ///< Includes corrupt blobs.
   std::uint64_t corrupt_misses = 0;  ///< Blobs rejected by envelope/header.
   std::uint64_t puts = 0;
   std::uint64_t put_errors = 0;    ///< Failed blob writes (read-only dir, ...).
-  /// Failed bloom-sidecar writes. Counted separately from put_errors:
-  /// a lost sidecar never loses the blob (it is rebuilt from the object
-  /// directory on reopen), and save_bloom also runs on reopen-rebuild,
-  /// where no put is in flight to blame.
-  std::uint64_t bloom_save_errors = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
-};
-
-/// Membership bloom over every key ever put: if it says "absent" the key
-/// is definitely not stored and the open/stat path is skipped (the
-/// negative cache of SNIPPETS 1-2). False positives cost one failed
-/// open; false negatives cannot occur for keys inserted through this
-/// process, and a stale sidecar only costs a spurious recompute.
-class BloomFilter {
- public:
-  static constexpr std::uint32_t kBits = 1u << 16;  // 8 KiB of bits.
-  static constexpr int kProbes = 4;
-
-  void insert(std::uint64_t key);
-  [[nodiscard]] bool maybe_contains(std::uint64_t key) const;
-
-  /// Capsule walk for the persisted sidecar.
-  void serialize(capsule::Io& io);
-
- private:
-  std::vector<std::uint8_t> bits_ = std::vector<std::uint8_t>(kBits / 8, 0);
 };
 
 class ResultStore {
  public:
   /// Opens (creating if needed) the store at `dir`. Layout:
   ///   <dir>/objects/<16-hex-key>.blob   sealed result blobs
-  ///   <dir>/bloom.bin                   sealed bloom sidecar
   /// Throws capsule::CapsuleError if the directory cannot be created.
   explicit ResultStore(std::string dir);
 
@@ -118,7 +91,7 @@ class ResultStore {
       std::uint64_t key);
 
   /// Store `payload` under `key` (tmp-file + rename; failures are
-  /// counted, never thrown) and persist the updated bloom.
+  /// counted, never thrown).
   void put(std::uint64_t key, const std::vector<std::uint8_t>& payload);
 
   /// A snapshot of the counters.
@@ -127,12 +100,8 @@ class ResultStore {
   [[nodiscard]] std::string object_path(std::uint64_t key) const;
 
  private:
-  void load_or_rebuild_bloom();
-  void save_bloom();
-
   std::string dir_;
-  mutable std::mutex mutex_;  ///< Guards bloom_, stats_ and the files.
-  BloomFilter bloom_;
+  mutable std::mutex mutex_;  ///< Guards stats_ and the files.
   CacheStats stats_;
 };
 

@@ -1,54 +1,26 @@
 #include "base/capsule.hpp"
 
-#include <bit>
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstring>
 
-#include "base/fnv1a.hpp"
+#include "base/fasthash.hpp"
 
 namespace repro::capsule {
 
 namespace {
 
-using base::fnv1a;
-
 constexpr char kMagic[8] = {'F', 'X', '8', 'C', 'A', 'P', 'S', '\0'};
+constexpr std::size_t kHeader = sizeof(kMagic) + 4 + 8;
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+std::uint64_t checksum(const std::uint8_t* p, std::size_t n) {
+  return base::fasthash(p, n, kEnvelopeSeed);
 }
 
 }  // namespace
 
-void Io::f64(double& v) {
-  auto bits = std::bit_cast<std::uint64_t>(v);
-  u64(bits);
-  v = std::bit_cast<double>(bits);
-}
+void Io::truncated() { throw CapsuleError("capsule: payload truncated"); }
 
 void Io::str(std::string& v) {
   auto n = static_cast<std::uint64_t>(v.size());
@@ -65,60 +37,51 @@ void Io::str(std::string& v) {
   put(reinterpret_cast<const std::uint8_t*>(v.data()), v.size());
 }
 
-void Io::put(const std::uint8_t* p, std::size_t n) {
-  digest_ = fnv1a(p, n, digest_);
-  if (mode_ == Mode::kSave) {
-    buf_.insert(buf_.end(), p, p + n);
-  }
-}
-
-void Io::get(std::uint8_t* p, std::size_t n) {
-  if (n > buf_.size() - cursor_) {
-    throw CapsuleError("capsule: payload truncated");
-  }
-  std::memcpy(p, buf_.data() + cursor_, n);
-  cursor_ += n;
-}
-
 std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof(kMagic) + 4 + 8 + payload.size() + 8);
-  for (const char c : kMagic) {
-    out.push_back(static_cast<std::uint8_t>(c));
+  std::vector<std::uint8_t> out(kHeader + payload.size() + 8);
+  std::memcpy(out.data(), kMagic, sizeof(kMagic));
+  base::store_le(out.data() + sizeof(kMagic), kFormatVersion);
+  base::store_le(out.data() + sizeof(kMagic) + 4,
+                 static_cast<std::uint64_t>(payload.size()));
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kHeader, payload.data(), payload.size());
   }
-  append_u32(out, kFormatVersion);
-  append_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  append_u64(out, fnv1a(payload.data(), payload.size()));
+  base::store_le(out.data() + kHeader + payload.size(),
+                 checksum(payload.data(), payload.size()));
   return out;
 }
 
-std::vector<std::uint8_t> unseal(const std::vector<std::uint8_t>& sealed) {
-  constexpr std::size_t kHeader = sizeof(kMagic) + 4 + 8;
+std::vector<std::uint8_t> unseal(std::vector<std::uint8_t> sealed) {
   if (sealed.size() < kHeader + 8) {
     throw CapsuleError("capsule: file shorter than envelope header");
   }
   if (std::memcmp(sealed.data(), kMagic, sizeof(kMagic)) != 0) {
     throw CapsuleError("capsule: bad magic (not a capsule file)");
   }
-  const std::uint32_t version = read_u32(sealed.data() + sizeof(kMagic));
+  const auto version =
+      base::load_le<std::uint32_t>(sealed.data() + sizeof(kMagic));
   if (version != kFormatVersion) {
     throw CapsuleError("capsule: format version " + std::to_string(version) +
                        " (this build reads version " +
                        std::to_string(kFormatVersion) + ")");
   }
-  const std::uint64_t size = read_u64(sealed.data() + sizeof(kMagic) + 4);
+  const auto size =
+      base::load_le<std::uint64_t>(sealed.data() + sizeof(kMagic) + 4);
   if (size != sealed.size() - kHeader - 8) {
     throw CapsuleError("capsule: payload size mismatch (truncated file?)");
   }
-  const std::uint64_t stored = read_u64(sealed.data() + kHeader + size);
-  const std::uint64_t actual =
-      fnv1a(sealed.data() + kHeader, static_cast<std::size_t>(size));
-  if (stored != actual) {
-    throw CapsuleError("capsule: payload digest mismatch (corrupt file)");
+  const auto stored = base::load_le<std::uint64_t>(sealed.data() + kHeader +
+                                                   size);
+  if (stored != checksum(sealed.data() + kHeader,
+                         static_cast<std::size_t>(size))) {
+    throw CapsuleError("capsule: payload checksum mismatch (corrupt file)");
   }
-  return {sealed.begin() + static_cast<std::ptrdiff_t>(kHeader),
-          sealed.begin() + static_cast<std::ptrdiff_t>(kHeader + size)};
+  // Strip the envelope in place: a caller that moves its buffer in
+  // pays no second allocation.
+  sealed.resize(kHeader + static_cast<std::size_t>(size));
+  sealed.erase(sealed.begin(),
+               sealed.begin() + static_cast<std::ptrdiff_t>(kHeader));
+  return sealed;
 }
 
 void write_file(const std::string& path,
@@ -139,13 +102,15 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   if (f == nullptr) {
     throw CapsuleError("capsule: cannot open " + path);
   }
+  // One sized read: capsule files are published whole (write to a temp
+  // name, then rename), so the size fstat reports is the size to read.
+  struct stat st {};
   std::vector<std::uint8_t> out;
-  std::uint8_t chunk[4096];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out.insert(out.end(), chunk, chunk + got);
+  bool bad = ::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode);
+  if (!bad) {
+    out.resize(static_cast<std::size_t>(st.st_size));
+    bad = std::fread(out.data(), 1, out.size(), f) != out.size();
   }
-  const bool bad = std::ferror(f) != 0;
   std::fclose(f);
   if (bad) {
     throw CapsuleError("capsule: read error on " + path);

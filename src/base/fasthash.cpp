@@ -1,5 +1,7 @@
 #include "base/fasthash.hpp"
 
+#include "base/endian.hpp"
+
 namespace repro::base {
 
 namespace {
@@ -15,19 +17,11 @@ std::uint64_t rotl(std::uint64_t v, int r) {
 }
 
 std::uint64_t read64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+  return load_le<std::uint64_t>(p);
 }
 
 std::uint32_t read32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
+  return load_le<std::uint32_t>(p);
 }
 
 std::uint64_t round_step(std::uint64_t acc, std::uint64_t lane) {
@@ -99,9 +93,7 @@ std::uint64_t fasthash(const void* data, std::size_t n, std::uint64_t seed) {
 
 std::uint64_t fasthash64(std::uint64_t value, std::uint64_t seed) {
   std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
+  store_le(bytes, value);
   return fasthash(bytes, sizeof(bytes), seed);
 }
 

@@ -1,13 +1,15 @@
-// Seeded 64-bit fast hash for content-addressed cache keys.
+// Seeded 64-bit fast hash: cache keys and envelope checksums.
 //
 // This is the XXH64 construction: four parallel 64-bit accumulator
 // lanes over 32-byte stripes, a lane merge, a short tail, and a final
-// avalanche. It digests long canonical-config serializations an order
-// of magnitude faster than FNV-1a and takes a seed, which is how the
-// result cache derives its bloom-filter probe family and folds the
-// code-version salt into every key (src/artifacts/result_store.hpp).
-// FNV-1a remains the capsule digest (base/fnv1a.hpp); this hash is for
-// keys, not for sealed-envelope integrity.
+// avalanche, with every word read by one little-endian load
+// (base/endian.hpp). It runs at memory speed where FNV-1a's byte-serial
+// multiply chain does not, so it hashes everything that is long and
+// read often: the canonical-config walks behind the result cache's
+// keys (seeded with the code salt, src/artifacts/result_store.hpp) and
+// every sealed capsule payload (the envelope checksum, seeded with
+// capsule::kEnvelopeSeed). FNV-1a remains the state digest of capsule
+// walks (base/fnv1a.hpp).
 #pragma once
 
 #include <cstddef>
@@ -21,7 +23,7 @@ namespace repro::base {
 [[nodiscard]] std::uint64_t fasthash(const void* data, std::size_t n,
                                      std::uint64_t seed = 0);
 
-/// Hash one 64-bit value (bloom probes, key mixing).
+/// Hash one 64-bit value, read as its eight little-endian bytes.
 [[nodiscard]] std::uint64_t fasthash64(std::uint64_t value,
                                        std::uint64_t seed = 0);
 

@@ -1,12 +1,13 @@
 // FNV-1a 64: the one home of the hash constants.
 //
-// The capsule layer (envelope digests, state-walk digests) and every
-// test that cross-checks a digest fold bytes through this helper; the
-// offset basis and prime live here and nowhere else. FNV-1a stays the
-// digest of record for capsules — it is simple, byte-order-free, and
-// streamable one byte at a time — while the content-addressed result
-// cache uses the faster seeded base::fasthash for its keys
-// (base/fasthash.hpp).
+// capsule::Io's state digest (digester(), checkpoint digests, the
+// StudyResult digests perfbench pins) folds bytes through this helper,
+// and so does every test that cross-checks such a digest; the offset
+// basis and prime live here and nowhere else. It is simple,
+// byte-order-free and streamable one byte at a time, which is what a
+// digest computed primitive by primitive needs. It is not the
+// envelope checksum any more: sealed capsules carry the faster seeded
+// base::fasthash (base/fasthash.hpp), which also keys the result cache.
 #pragma once
 
 #include <cstddef>

@@ -52,7 +52,7 @@ class IpCache {
   /// Capsule walk: tag array and stats. The snoop hook is wiring the
   /// owner (Machine) reinstalls at construction, not state.
   void serialize(capsule::Io& io) {
-    const std::uint64_t tag_count = io.extent(tags_.size());
+    const std::uint64_t tag_count = io.extent(tags_.size(), 8);
     if (io.loading() && tag_count != tags_.size()) {
       throw capsule::CapsuleError("capsule: IP cache geometry mismatch");
     }

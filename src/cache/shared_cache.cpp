@@ -190,7 +190,8 @@ bool SharedCache::contains(Addr addr) const {
 }
 
 void SharedCache::serialize(capsule::Io& io) {
-  const std::uint64_t line_count = io.extent(lines_.size());
+  // Line: tag, state, dirty, last_use (8 + 4 + 1 + 8 bytes).
+  const std::uint64_t line_count = io.extent(lines_.size(), 21);
   if (io.loading() && line_count != lines_.size()) {
     throw capsule::CapsuleError("capsule: cache geometry mismatch");
   }
@@ -200,7 +201,8 @@ void SharedCache::serialize(capsule::Io& io) {
     io.boolean(line.dirty);
     io.u64(line.last_use);
   }
-  const std::uint64_t fill_count = io.extent(fills_.size());
+  // Fill: tag, txn, waiters, want_unique (8 + 8 + 8 + 1 bytes).
+  const std::uint64_t fill_count = io.extent(fills_.size(), 25);
   if (io.loading()) {
     fills_.assign(static_cast<std::size_t>(fill_count), {});
   }

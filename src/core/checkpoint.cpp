@@ -49,7 +49,9 @@ void load_session(const std::vector<std::uint8_t>& sealed,
 void StudyCheckpoint::serialize(capsule::Io& io) {
   io.u32(samples_done);
   io.u32(samples_total);
-  const std::uint64_t count = io.extent(records.size());
+  static const std::uint64_t kRecordBytes =
+      capsule::encoded_size<instr::SampleRecord>();
+  const std::uint64_t count = io.extent(records.size(), kRecordBytes);
   if (io.loading()) {
     records.assign(static_cast<std::size_t>(count), instr::SampleRecord{});
   }

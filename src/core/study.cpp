@@ -258,7 +258,9 @@ void serialize_config(capsule::Io& io, StudyConfig& config) {
 
 void SessionResult::serialize(capsule::Io& io) {
   io.str(name);
-  auto count = io.extent(samples.size());
+  static const std::uint64_t kSampleBytes =
+      capsule::encoded_size<AnalyzedSample>();
+  auto count = io.extent(samples.size(), kSampleBytes);
   samples.resize(count);
   for (AnalyzedSample& sample : samples) {
     sample.serialize(io);

@@ -160,7 +160,9 @@ void DasController::serialize(capsule::Io& io) {
     if (io.loading()) {
       transfer_.emplace();
     }
-    const std::uint64_t count = io.extent(transfer_->size());
+    static const std::uint64_t kRecordBytes =
+        capsule::encoded_size<ProbeRecord>();
+    const std::uint64_t count = io.extent(transfer_->size(), kRecordBytes);
     if (io.loading()) {
       transfer_->assign(static_cast<std::size_t>(count), ProbeRecord{});
     }

@@ -168,7 +168,8 @@ void MemoryBus::serialize(capsule::Io& io) {
   };
   for (std::uint32_t b = 0; b < buses_.size(); ++b) {
     BusState& bus = buses_[b];
-    const std::uint64_t depth = io.extent(bus.queue.size());
+    // txn(): id, op, addr (8 + 4 + 8 bytes).
+    const std::uint64_t depth = io.extent(bus.queue.size(), 20);
     if (io.loading()) {
       bus.queue.assign(static_cast<std::size_t>(depth), PendingTxn{});
     }
@@ -182,7 +183,7 @@ void MemoryBus::serialize(capsule::Io& io) {
     io.u32(hot_->remaining[b]);
     io.enum32(hot_->current_op[b]);
   }
-  const std::uint64_t finished = io.extent(finished_.size());
+  const std::uint64_t finished = io.extent(finished_.size(), 8);
   if (io.loading()) {
     finished_.assign(static_cast<std::size_t>(finished), 0);
   }

@@ -130,14 +130,16 @@ void VirtualMemory::serialize(capsule::Io& io) {
   // Page tables. The unordered_maps are only ever iterated in
   // release_job's frame frees (order-independent), so serializing them in
   // sorted key order is behaviour-neutral and makes save/digest canonical.
-  const std::uint64_t job_count = io.extent(jobs_.size());
+  // A job is at least its id and two empty extents (3 x 8 bytes); a
+  // resident entry is (page, frame) and a FIFO entry a page.
+  const std::uint64_t job_count = io.extent(jobs_.size(), 24);
   if (io.loading()) {
     jobs_.clear();
     for (std::uint64_t j = 0; j < job_count; ++j) {
       JobId job = 0;
       io.u64(job);
       JobPages& pages = jobs_[job];
-      const std::uint64_t resident = io.extent(0);
+      const std::uint64_t resident = io.extent(0, 16);
       for (std::uint64_t p = 0; p < resident; ++p) {
         Addr page = 0;
         mem::FrameId frame = 0;
@@ -145,7 +147,7 @@ void VirtualMemory::serialize(capsule::Io& io) {
         io.u64(frame);
         pages.resident.emplace(page, frame);
       }
-      const std::uint64_t fifo_depth = io.extent(0);
+      const std::uint64_t fifo_depth = io.extent(0, 8);
       pages.fifo.assign(static_cast<std::size_t>(fifo_depth), 0);
       for (Addr& page : pages.fifo) {
         io.u64(page);
@@ -167,13 +169,13 @@ void VirtualMemory::serialize(capsule::Io& io) {
         resident_pages_sorted.push_back(page);
       }
       std::sort(resident_pages_sorted.begin(), resident_pages_sorted.end());
-      std::uint64_t resident = io.extent(resident_pages_sorted.size());
+      std::uint64_t resident = io.extent(resident_pages_sorted.size(), 16);
       (void)resident;
       for (Addr page : resident_pages_sorted) {
         io.u64(page);
         io.u64(pages.resident.at(page));
       }
-      std::uint64_t fifo_depth = io.extent(pages.fifo.size());
+      std::uint64_t fifo_depth = io.extent(pages.fifo.size(), 8);
       (void)fifo_depth;
       for (Addr& page : pages.fifo) {
         io.u64(page);
@@ -182,7 +184,7 @@ void VirtualMemory::serialize(capsule::Io& io) {
   }
 
   // Global reclaim FIFO.
-  const std::uint64_t global_depth = io.extent(global_fifo_.size());
+  const std::uint64_t global_depth = io.extent(global_fifo_.size(), 16);
   if (io.loading()) {
     global_fifo_.assign(static_cast<std::size_t>(global_depth), {0, 0});
   }

@@ -1,8 +1,7 @@
 // ResultStore robustness: the store may only ever MISS, never return a
 // wrong or stale answer. Every corruption in the matrix — truncation,
-// tampering, version skew, foreign blobs, stale code salt, lost or
-// mangled bloom sidecars — must degrade to a clean miss that the caller
-// resolves by recomputing.
+// tampering, version skew, foreign blobs, stale code salt — must
+// degrade to a clean miss that the caller resolves by recomputing.
 #include "artifacts/result_store.hpp"
 
 #include <gtest/gtest.h>
@@ -67,12 +66,26 @@ TEST_F(ResultStoreTest, PutThenGetRoundTrips) {
   EXPECT_GT(store.stats().bytes_read, 0u);
 }
 
-TEST_F(ResultStoreTest, AbsentKeyIsABloomSkippedMiss) {
+TEST_F(ResultStoreTest, AbsentKeyIsAPlainMiss) {
   ResultStore store(dir_.string());
   EXPECT_FALSE(store.get(0x1111).has_value());
   EXPECT_EQ(store.stats().misses, 1u);
-  EXPECT_EQ(store.stats().bloom_skips, 1u);
-  EXPECT_EQ(store.stats().bytes_read, 0u);  // Never touched the disk.
+  EXPECT_EQ(store.stats().corrupt_misses, 0u);  // Nothing on disk to blame.
+  EXPECT_EQ(store.stats().bytes_read, 0u);
+}
+
+TEST_F(ResultStoreTest, LeftoverBloomSidecarIsIgnored) {
+  // Store format 1 kept a `bloom.bin` beside objects/; a directory that
+  // still has one (even a mangled one) opens and works as before.
+  fs::create_directories(dir_);
+  std::ofstream(dir_ / "bloom.bin", std::ios::binary) << "garbage";
+  ResultStore store(dir_.string());
+  const auto body = payload({6, 6});
+  store.put(0xAAAA, body);
+  const auto got = store.get(0xAAAA);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, body);
+  EXPECT_EQ(store.stats().corrupt_misses, 0u);
 }
 
 TEST_F(ResultStoreTest, ResultsSurviveReopen) {
@@ -132,7 +145,7 @@ TEST_F(ResultStoreTest, ForeignKeyEchoIsACleanMiss) {
   ResultStore store(dir_.string());
   store.put(0x6666, payload({42}));
   fs::copy_file(store.object_path(0x6666), store.object_path(0x7777));
-  // Insert 0x7777 into the bloom via a put, then swap the foreign blob in.
+  // Put 0x7777, then swap the foreign blob in over it.
   store.put(0x7777, payload({43}));
   fs::copy_file(store.object_path(0x6666), store.object_path(0x7777),
                 fs::copy_options::overwrite_existing);
@@ -157,72 +170,23 @@ TEST_F(ResultStoreTest, WrongEnvelopeVersionIsACleanMiss) {
   EXPECT_EQ(store.stats().corrupt_misses, 1u);
 }
 
-TEST_F(ResultStoreTest, LostBloomSidecarIsRebuiltFromObjects) {
-  const auto body = payload({5, 5, 5});
-  {
-    ResultStore store(dir_.string());
-    store.put(0x9999, body);
-  }
-  fs::remove(dir_ / "bloom.bin");
-  ResultStore reopened(dir_.string());
-  const auto got = reopened.get(0x9999);  // Bloom must not skip it.
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, body);
-  EXPECT_EQ(reopened.stats().bloom_skips, 0u);
-}
-
-TEST_F(ResultStoreTest, CorruptBloomSidecarIsRebuiltFromObjects) {
-  const auto body = payload({6, 6});
-  {
-    ResultStore store(dir_.string());
-    store.put(0xAAAA, body);
-  }
-  std::ofstream(dir_ / "bloom.bin", std::ios::binary) << "garbage";
-  ResultStore reopened(dir_.string());
-  ASSERT_TRUE(reopened.get(0xAAAA).has_value());
-}
-
 TEST_F(ResultStoreTest, UnwritableDirectoryCountsPutErrors) {
   ResultStore store(dir_.string());
   fs::remove_all(dir_ / "objects");  // Yank the rug out from under put().
   store.put(0xBBBB, payload({1}));
   EXPECT_EQ(store.stats().puts, 0u);
   EXPECT_GE(store.stats().put_errors, 1u);
-  // The blob write failed before the sidecar save was even attempted.
-  EXPECT_EQ(store.stats().bloom_save_errors, 0u);
-}
-
-TEST_F(ResultStoreTest, BloomSidecarFailureIsNotAPutError) {
-  ResultStore store(dir_.string());
-  store.put(0xCCC0, payload({7}));
-  EXPECT_EQ(store.stats().bloom_save_errors, 0u);
-  // Squat a non-empty directory on the sidecar's own path, so the
-  // rename that publishes it fails: the blob itself still lands, only
-  // the bloom save fails. This used to be charged to put_errors —
-  // double-counting every sidecar failure against puts that had in
-  // fact succeeded.
-  fs::remove(dir_ / "bloom.bin");
-  fs::create_directories(dir_ / "bloom.bin" / "squat");
-  store.put(0xCCCC, payload({1, 2}));
-  EXPECT_EQ(store.stats().puts, 2u);
-  EXPECT_EQ(store.stats().put_errors, 0u);
-  EXPECT_GE(store.stats().bloom_save_errors, 1u);
-  // The freshly put blob is still perfectly readable.
-  EXPECT_TRUE(store.get(0xCCCC).has_value());
 }
 
 TEST_F(ResultStoreTest, LegacyTempPathsDoNotBlockWriters) {
   // Temp names are per process and per write, so a directory squatting
-  // on the old shared `<path>.tmp` names blocks neither the blob nor
-  // the sidecar.
+  // on the old shared `<path>.tmp` name does not block the blob.
   ResultStore store(dir_.string());
   fs::create_directories(fs::path(store.object_path(0xD00D) + ".tmp") /
                          "squat");
-  fs::create_directories(dir_ / "bloom.bin.tmp" / "squat");
   store.put(0xD00D, payload({4, 2}));
   EXPECT_EQ(store.stats().puts, 1u);
   EXPECT_EQ(store.stats().put_errors, 0u);
-  EXPECT_EQ(store.stats().bloom_save_errors, 0u);
   EXPECT_TRUE(store.get(0xD00D).has_value());
 }
 
@@ -251,7 +215,6 @@ TEST_F(ResultStoreTest, ConcurrentPutsAndGetsStayConsistent) {
   const CacheStats stats = store.stats();
   EXPECT_EQ(stats.puts, kThreads * kKeys);
   EXPECT_EQ(stats.put_errors, 0u);
-  EXPECT_EQ(stats.bloom_save_errors, 0u);
   EXPECT_EQ(stats.corrupt_misses, 0u);
   // Every write published; no temp file left behind.
   for (const auto& entry : fs::recursive_directory_iterator(dir_)) {
@@ -265,7 +228,6 @@ TEST_F(ResultStoreTest, ConcurrentPutsAndGetsStayConsistent) {
           reopened.get((static_cast<std::uint64_t>(t) << 32) | k).has_value());
     }
   }
-  EXPECT_EQ(reopened.stats().bloom_skips, 0u);
 }
 
 // --- Key derivation ---------------------------------------------------

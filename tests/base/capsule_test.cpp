@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "base/fasthash.hpp"
+#include "base/fnv1a.hpp"
+
 namespace repro::capsule {
 namespace {
 
@@ -120,6 +123,88 @@ TEST(CapsuleIo, SaverDigestEqualsDigesterDigest) {
   EXPECT_TRUE(digester.bytes().empty());
 }
 
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(CapsuleIo, GoldenBytes) {
+  // The exact little-endian byte stream of every primitive, and its
+  // FNV-1a digest. A codec rewrite that moves one byte orphans every
+  // checkpoint and every StudyResult digest pinned elsewhere.
+  Blob blob = sample_blob();
+  Io saver = Io::saver();
+  blob.serialize(saver);
+  EXPECT_EQ(hex(saver.bytes()),
+            "a5"                                    // u8
+            "efbe"                                  // u16
+            "efbeadde"                              // u32
+            "efcdab8967452301"                      // u64
+            "d6ffffffffffffff"                      // i64 -42
+            "9a9999999999b93f"                      // f64 0.1
+            "01"                                    // bool
+            "0d00000000000000" "6e696e652073657373696f6e73"  // str
+            "07000000"                              // enum32
+            "0400000000000000"                      // extent
+            "01000000" "02000000" "03000000" "ffffffff");
+  Io digester = Io::digester();
+  blob.serialize(digester);
+  EXPECT_EQ(digester.digest(), 0x49E6ADD86771E5E7ULL);
+}
+
+TEST(CapsuleIo, TruncationAtEveryPrimitiveWidthThrows) {
+  // One byte short of each primitive's width must throw, never read
+  // past the payload.
+  const auto short_by_one = [](std::size_t width) {
+    return Io::loader(std::vector<std::uint8_t>(width - 1, 0xFF));
+  };
+  std::uint8_t u8 = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int64_t i64 = 0;
+  double f64 = 0.0;
+  bool flag = false;
+  Flavor flavor = Flavor::kPlain;
+  std::string str;
+  Io io = short_by_one(1);
+  EXPECT_THROW(io.u8(u8), CapsuleError);
+  io = short_by_one(1);
+  EXPECT_THROW(io.boolean(flag), CapsuleError);
+  io = short_by_one(2);
+  EXPECT_THROW(io.u16(u16), CapsuleError);
+  io = short_by_one(4);
+  EXPECT_THROW(io.u32(u32), CapsuleError);
+  io = short_by_one(4);
+  EXPECT_THROW(io.enum32(flavor), CapsuleError);
+  io = short_by_one(8);
+  EXPECT_THROW(io.u64(u64), CapsuleError);
+  io = short_by_one(8);
+  EXPECT_THROW(io.i64(i64), CapsuleError);
+  io = short_by_one(8);
+  EXPECT_THROW(io.f64(f64), CapsuleError);
+  io = short_by_one(8);
+  EXPECT_THROW(io.str(str), CapsuleError);
+  io = short_by_one(8);
+  EXPECT_THROW((void)io.extent(0), CapsuleError);
+  // And a walk cut anywhere inside a whole blob throws too.
+  Blob blob = sample_blob();
+  Io saver = Io::saver();
+  blob.serialize(saver);
+  for (std::size_t keep = 0; keep < saver.bytes().size(); ++keep) {
+    Blob back;
+    Io loader = Io::loader(
+        {saver.bytes().begin(),
+         saver.bytes().begin() + static_cast<std::ptrdiff_t>(keep)});
+    EXPECT_THROW(back.serialize(loader), CapsuleError) << "kept " << keep;
+  }
+}
+
 TEST(CapsuleIo, DigestDiscriminatesContent) {
   Blob a = sample_blob();
   Blob b = sample_blob();
@@ -160,6 +245,26 @@ TEST(CapsuleIo, RejectsElementCountPastPayloadEnd) {
   payload[0] = 4;
   Io loader = Io::loader(std::move(payload));
   EXPECT_THROW((void)loader.extent(0), CapsuleError);
+}
+
+TEST(CapsuleIo, ElementMinimumTightensTheCountBound) {
+  // Three u64 elements cannot fit in 16 bytes, although three 1-byte
+  // elements could: the element minimum rejects the count up front.
+  std::vector<std::uint8_t> payload(8 + 16, 0);
+  payload[0] = 3;
+  Io lax = Io::loader(payload);
+  EXPECT_EQ(lax.extent(0), 3u);
+  Io strict = Io::loader(payload);
+  EXPECT_THROW((void)strict.extent(0, 8), CapsuleError);
+  payload[0] = 2;
+  Io fits = Io::loader(std::move(payload));
+  EXPECT_EQ(fits.extent(0, 8), 2u);
+}
+
+TEST(CapsuleIo, EncodedSizeOfAValueInitialisedWalk) {
+  // Blob{}: u8 u16 u32 u64 i64 f64 bool, an empty string and an empty
+  // vector (length and count prefixes), an enum.
+  EXPECT_EQ(encoded_size<Blob>(), 1u + 2 + 4 + 8 + 8 + 8 + 1 + 8 + 4 + 8);
 }
 
 TEST(CapsuleIo, ExtentLeavesSaverCountsAlone) {
@@ -206,10 +311,48 @@ TEST(CapsuleEnvelope, RejectsTruncation) {
 }
 
 TEST(CapsuleEnvelope, RejectsPayloadCorruption) {
-  std::vector<std::uint8_t> sealed = seal({1, 2, 3, 4});
-  // Flip one payload bit; the trailing digest must catch it.
-  sealed[8 + 4 + 8 + 1] ^= 0x40;
-  EXPECT_THROW((void)unseal(sealed), CapsuleError);
+  // Flip one bit of each payload byte in turn; the trailing checksum
+  // must catch every one. 100 bytes reach XXH64's 32-byte stripes and
+  // each of its tails.
+  std::vector<std::uint8_t> payload(100);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  const std::vector<std::uint8_t> sealed = seal(payload);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    std::vector<std::uint8_t> flipped = sealed;
+    flipped[8 + 4 + 8 + i] ^= 0x40;
+    EXPECT_THROW((void)unseal(flipped), CapsuleError) << "byte " << i;
+  }
+}
+
+TEST(CapsuleEnvelope, RejectsAVersion2Envelope) {
+  // A well-formed version-2 envelope: the same header and payload,
+  // version field 2, and the FNV-1a trailer that version wrote. It is
+  // intact by its own rules, and this build must still refuse it.
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  std::vector<std::uint8_t> v2 = seal(payload);
+  v2[8] = 2;
+  const std::uint64_t fnv = base::fnv1a(payload.data(), payload.size());
+  for (int i = 0; i < 8; ++i) {
+    v2[v2.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(fnv >> (8 * i));
+  }
+  EXPECT_THROW((void)unseal(v2), CapsuleError);
+}
+
+TEST(CapsuleEnvelope, TrailerIsTheSeededXxh64OfThePayload) {
+  const std::vector<std::uint8_t> payload = {9, 8, 7, 6};
+  const std::vector<std::uint8_t> sealed = seal(payload);
+  ASSERT_EQ(sealed.size(), 8u + 4 + 8 + payload.size() + 8);
+  EXPECT_EQ(sealed[8], kFormatVersion);
+  std::uint64_t trailer = 0;
+  for (int i = 7; i >= 0; --i) {
+    trailer = (trailer << 8) | sealed[sealed.size() - 8 +
+                                      static_cast<std::size_t>(i)];
+  }
+  EXPECT_EQ(trailer,
+            base::fasthash(payload.data(), payload.size(), kEnvelopeSeed));
 }
 
 TEST(CapsuleFile, WriteReadRoundTrip) {

@@ -54,6 +54,39 @@ TEST(Fasthash, MatchesXxh64ReferenceVectors) {
   EXPECT_EQ(fasthash("", 0, 0), 0xEF46DB3751D8E999ULL);
   EXPECT_EQ(fasthash("a", 1, 0), 0xD24EC4F1A98C6E5BULL);
   EXPECT_EQ(fasthash("abc", 3, 0), 0x44BC2CF5AD770999ULL);
+  // The first official vector long enough to reach the 32-byte stripe
+  // loop and all three tail ladders.
+  const char* spam = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(fasthash(spam, std::strlen(spam), 0), 0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Fasthash, PinnedAtAlignedAndUnalignedOffsets) {
+  // Golden outputs over the EveryLengthHashesDistinctly pattern, read
+  // from offset 0 and from offset +1, so every word load also runs
+  // unaligned. The lengths walk each path: byte tail, u32 tail, u64
+  // tail, one stripe plus a byte, a stripe plus every tail, many
+  // stripes.
+  std::vector<std::uint8_t> buf(1001);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 17);
+  }
+  struct Golden {
+    std::size_t n;
+    std::uint64_t aligned;
+    std::uint64_t unaligned;
+  };
+  const Golden goldens[] = {
+      {1, 0x2871C2106A98B806ULL, 0xDCBEE680ADBD3976ULL},
+      {4, 0x5C36AED1A79BC922ULL, 0x5DFE8BC3009E638DULL},
+      {12, 0x5BB09FFB37330703ULL, 0x66D819AEFDE69D98ULL},
+      {33, 0x5EF8F229C42EFF97ULL, 0x72713B6179CCF9F8ULL},
+      {63, 0xCE628B543F321101ULL, 0x595ECEB83F4EA2F7ULL},
+      {1000, 0x47D0ECB63B890730ULL, 0x5875E09232B7240BULL},
+  };
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(fasthash(buf.data(), g.n, 7), g.aligned) << "n=" << g.n;
+    EXPECT_EQ(fasthash(buf.data() + 1, g.n, 7), g.unaligned) << "n=" << g.n;
+  }
 }
 
 TEST(Fasthash, SeedChangesTheHash) {
